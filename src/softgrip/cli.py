@@ -76,7 +76,7 @@ def cmd_calibrate(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
     log.info("calibrating 3 fingers (seed %d)", cfg.seed)
-    result = harness.run_calibration_experiment(cfg)
+    result = harness.run_calibration_experiment(cfg, with_trace=True)
     outputs = []
     for finger, (report, samples, trace) in enumerate(
         zip(result.reports, result.sample_sets, result.traces), start=1
@@ -208,6 +208,9 @@ def main(argv: list | None = None) -> int:
             f"error: unknown experiment {args.experiment!r}; valid names: {', '.join(EXPERIMENTS)}",
             file=sys.stderr,
         )
+        return EXIT_USAGE
+    if getattr(args, "jobs", 1) < 1:
+        print(f"error: --jobs: must be >= 1, got {args.jobs}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

@@ -162,7 +162,6 @@ class HardnessConfig:
     duration_s: float = 8.0
     min_contact_force: float = 0.25
     slope_threshold: float = 10.0  # deg/N separating stiff from soft
-    n_seeds: int = 20
 
 
 @dataclass
@@ -341,11 +340,19 @@ def validate(cfg: Config) -> list[str]:
         errs.append("estimation.target: must be > 0")
     if est.scale_stiffness <= 0.0:
         errs.append("estimation.scale_stiffness: must be > 0")
+    if est.n_seeds < 1:
+        errs.append("estimation.n_seeds: must be >= 1")
     g = cfg.grasp
     if not g.setpoints:
         errs.append("grasp.setpoints: must be nonempty")
     if g.n_trials < 1:
         errs.append("grasp.n_trials: must be >= 1")
+    # the outcome averages contact force over the final settle window; a
+    # window of 0 ticks, or of inf ticks (1e308 / period), crashes the run
+    for fld in ("duration_s", "settle_window_s"):
+        value = getattr(g, fld)
+        if not 0.0 < value < math.inf or (cc.period > 0.0 and not 0.5 < value / cc.period < math.inf):
+            errs.append(f"grasp.{fld}: must be > 0 and span at least one, finitely many, control ticks")
     for name, oc in g.objects.items():
         errs.extend(_object_errors(f"grasp.objects.{name}", oc))
     h = cfg.hardness

@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import calibration as calib
 from .calibration import PolynomialModel, Sample
@@ -199,6 +200,65 @@ def _build_supervisor(cfg: Config, target: float) -> Supervisor:
 
 
 # ---------------------------------------------------------------------------
+# The tick kernel
+
+
+class Lane(NamedTuple):
+    """One finger stepped by ``simulate``.
+
+    ``policy(i, reading, estimate)`` returns tick ``i``'s duty, or None to
+    end the run before the step; ``estimate`` is None when ``model`` is.
+    ``record(i, duty, reading, estimate)``, if given, runs after the step
+    and sees the state it left.
+    """
+
+    plant: FingerPlant
+    model: PolynomialModel | None
+    obj: ObjectModel | None
+    duty: float  # stepped once in free space before the first tick
+    policy: Callable
+    record: Callable | None = None
+
+
+def simulate(cfg: Config, lanes: list, n_ticks: int) -> None:
+    """Run up to ``n_ticks`` control ticks of sense -> estimate -> policy ->
+    step -> record, visiting the lanes in order within each tick."""
+    dt = cfg.controller.period
+    margin = cfg.supervisor.extrapolation_margin
+    for lane in lanes:
+        lane.plant.step(lane.duty, dt)
+    for i in range(n_ticks):
+        for plant_obj, model, obj, _, policy, record in lanes:
+            reading = plant_obj.sense()
+            estimate = None
+            if model is not None:
+                estimate = contact_force(
+                    ForceReading(reading.force_meas, reading.angle_meas), model, margin
+                )
+            duty = policy(i, reading, estimate)
+            if duty is None:
+                return
+            plant_obj.step(duty, dt, obj)
+            if record is not None:
+                record(i, duty, reading, estimate)
+
+
+def _trace_row(trace: Trace, plant_obj: FingerPlant, t, duty, reading, estimate, mode) -> None:
+    """Append a tick's reading and estimate with the state its step left."""
+    trace.append(
+        t,
+        duty,
+        plant_obj.pressure,
+        plant_obj.angle,
+        reading.force_meas,
+        estimate.internal,
+        estimate.contact,
+        plant_obj.contact_force,
+        mode,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Calibration experiment (free-space ramp cycles -> fitted per-finger models)
 
 
@@ -206,14 +266,15 @@ def _build_supervisor(cfg: Config, target: float) -> Supervisor:
 class CalibrationResult:
     reports: list  # CalibrationReport per finger
     sample_sets: list  # list[Sample] per finger
-    traces: list  # Trace per finger
+    traces: list  # Trace per finger, or None per finger when not recorded
 
     def models(self) -> list:
         return [r.selected() for r in self.reports]
 
 
-def calibrate_finger(cfg: Config, finger: int, seed: int) -> tuple:
-    """One finger's staircase ramp cycles; returns (samples, trace)."""
+def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = False) -> tuple:
+    """One finger's staircase ramp cycles; returns (samples, trace), the
+    trace None unless ``with_trace``, the only use of the lane's estimate."""
     cal = cfg.calibration
     dt = cfg.controller.period
     plant_obj = _build_plant(cfg, finger, derive_seed(seed, "calibration", finger, "plant"))
@@ -222,56 +283,50 @@ def calibrate_finger(cfg: Config, finger: int, seed: int) -> tuple:
     base_levels = [peak_duty * k / cal.levels for k in range(1, cal.levels + 1)]
     hold_ticks = max(1, int(round(cal.hold_s / dt)))
     rest_ticks = max(1, int(round(cal.rest_s / dt)))
-    samples: list[Sample] = []
-    trace = Trace()
-    model = plant_obj.internal_model
-    t = 0.0
-
-    def tick(duty: float) -> tuple:
-        nonlocal t
-        plant_obj.step(duty, dt)
-        reading = plant_obj.sense()
-        trace.append(
-            t,
-            duty,
-            plant_obj.pressure,
-            plant_obj.angle,
-            reading.force_meas,
-            max(0.0, model.predict(reading.angle_meas)),
-            reading.force_meas - max(0.0, model.predict(reading.angle_meas)),
-            plant_obj.contact_force,
-            "calibrate",
-        )
-        t += dt
-        return reading
-
+    schedule = []  # duty per tick
+    sample_ticks = set()  # ticks whose reading ends a dwell and becomes a sample
     for _ in range(cal.cycles):
         jittered = [
             min(100.0, max(1.0, lv + level_rng.uniform(-cal.level_jitter, cal.level_jitter)))
             for lv in base_levels
         ]
-        staircase = jittered + jittered[-2::-1]  # up to the peak, back down
-        for duty in staircase:
-            reading = None
-            for _ in range(hold_ticks):
-                reading = tick(duty)
-            samples.append(Sample(reading.angle_meas, reading.force_meas))
-        reading = None
-        for _ in range(rest_ticks):
-            reading = tick(0.0)
+        for duty in jittered + jittered[-2::-1]:  # up to the peak, back down
+            schedule += [duty] * hold_ticks
+            sample_ticks.add(len(schedule) - 1)
         # rest-dwell sample anchors the fit near zero bend, so later runs that
         # start from rest stay inside the calibrated range
-        samples.append(Sample(reading.angle_meas, reading.force_meas))
+        schedule += [0.0] * rest_ticks
+        sample_ticks.add(len(schedule) - 1)
+    schedule.append(None)  # ends the run after the last tick's reading
+    samples: list[Sample] = []
+    trace = Trace() if with_trace else None
+    t = 0.0
+
+    def staircase(i, reading, estimate):
+        nonlocal t
+        if trace is not None:
+            # before the kernel's step: the plant still holds the state
+            # schedule[i] drove, which is what this reading saw
+            _trace_row(trace, plant_obj, t, schedule[i], reading, estimate, "calibrate")
+            t += dt
+        if i in sample_ticks:
+            samples.append(Sample(reading.angle_meas, reading.force_meas))
+        return schedule[i + 1]
+
+    model = plant_obj.internal_model if with_trace else None
+    simulate(cfg, [Lane(plant_obj, model, None, schedule[0], staircase)], len(schedule) - 1)
     return samples, trace
 
 
-def run_calibration_experiment(cfg: Config, seed: int | None = None) -> CalibrationResult:
+def run_calibration_experiment(
+    cfg: Config, seed: int | None = None, with_trace: bool = False
+) -> CalibrationResult:
     """Free-space characterization: ramp cycles per finger, then fit and
     BIC-select an internal-force polynomial for each."""
     seed = cfg.seed if seed is None else seed
     reports, sample_sets, traces = [], [], []
     for finger in range(3):
-        samples, trace = calibrate_finger(cfg, finger, seed)
+        samples, trace = calibrate_finger(cfg, finger, seed, with_trace)
         report = calib.select_model(samples, cfg.calibration.max_degree)
         reports.append(report)
         sample_sets.append(samples)
@@ -284,60 +339,10 @@ def calibrate_models(cfg: Config, seed: int | None = None) -> list:
     return run_calibration_experiment(cfg, seed).models()
 
 
-# ---------------------------------------------------------------------------
-# Closed-loop run helper
-
-
-def _control_run(
-    cfg: Config,
-    plant_obj: FingerPlant,
-    model: PolynomialModel,
-    obj: ObjectModel | None,
-    duration: float,
-    target_of_t,
-    supervisor: Supervisor | None = None,
-    warm_duty: float = 0.0,
-) -> Trace:
-    """Step one finger closed loop for ``duration`` seconds.
-
-    With a supervisor: approach ramp then force control.  Without: pure PI
-    from the warm-start duty.  Each tick senses the state left by the
-    previous tick, updates the controller, then steps the plant.
-    """
-    dt = cfg.controller.period
-    ctrl = _build_controller(cfg)
-    margin = cfg.supervisor.extrapolation_margin
-    duty = warm_duty
-    if warm_duty > 0.0:
-        plant_obj.pressure = cfg.plant.k_duty * warm_duty
-    plant_obj.step(duty, dt)
-    trace = Trace()
-    n = int(round(duration / dt))
-    for i in range(n):
-        t = i * dt
-        reading = plant_obj.sense()
-        estimate = contact_force(
-            ForceReading(reading.force_meas, reading.angle_meas), model, margin
-        )
-        if supervisor is not None:
-            duty = supervisor.step(ctrl, estimate, dt)
-            mode = supervisor.mode.value
-        else:
-            duty = ctrl.step(target_of_t(t), estimate.contact, duty)
-            mode = Mode.FORCE_CONTROL.value
-        plant_obj.step(duty, dt, obj)
-        trace.append(
-            t,
-            duty,
-            plant_obj.pressure,
-            plant_obj.angle,
-            reading.force_meas,
-            estimate.internal,
-            estimate.contact,
-            plant_obj.contact_force,
-            mode,
-        )
-    return trace
+def _master_and_models(cfg: Config, seed: int | None, models) -> tuple:
+    """An experiment's master seed, and its models: calibrated from it unless given."""
+    master = cfg.seed if seed is None else seed
+    return master, calibrate_models(cfg, master) if models is None else models
 
 
 # ---------------------------------------------------------------------------
@@ -371,40 +376,35 @@ def _estimation_cell(cfg: Config, model: PolynomialModel, seed: int, position: f
     dt = cfg.controller.period
     obj = ObjectModel(position_angle=position, stiffness=est.scale_stiffness)
     plant_obj = _build_plant(cfg, 0, derive_seed(seed, "estimation", position, "plant"))
-    margin = cfg.supervisor.extrapolation_margin
+    settle_ticks = max(1, int(round(est.settle_s / dt)))
+    window_ticks = max(1, int(round(est.window_s / dt)))
     duty = 0.0
-    plant_obj.step(duty, dt)
-    phase = "press"
-    hold_left = int(round(est.settle_s / dt))
-    window_left = int(round(est.window_s / dt))
+    pressed_at = None  # tick the target was reached; settle, then measure a window
     est_acc, true_acc, count = 0.0, 0.0, 0
-    max_ticks = int(round(est.timeout_s / dt))
-    for _ in range(max_ticks):
-        reading = plant_obj.sense()
-        estimate = contact_force(ForceReading(reading.force_meas, reading.angle_meas), model, margin)
-        if phase == "press":
+    flagged = None
+
+    def press_settle_measure(i, reading, estimate):
+        nonlocal duty, pressed_at, est_acc, true_acc, count, flagged
+        if pressed_at is None:
             if plant_obj.contact_force >= est.target:
-                phase = "settle"
+                pressed_at = i
             elif duty >= 100.0:
-                return EstimationRow(
-                    seed, position, est.target, None, None, None, flagged="unreachable at max duty"
-                )
+                flagged = "unreachable at max duty"
+                return None
             else:
                 duty = min(100.0, duty + est.ramp_rate * dt)
-        elif phase == "settle":
-            hold_left -= 1
-            if hold_left <= 0:
-                phase = "measure"
-        else:
+        elif i > pressed_at + settle_ticks:
             est_acc += estimate.contact
             true_acc += plant_obj.contact_force
             count += 1
-            window_left -= 1
-            if window_left <= 0:
-                break
-        plant_obj.step(duty, dt, obj)
+            if count == window_ticks:
+                return None
+        return duty
+
+    lane = Lane(plant_obj, model, obj, duty, press_settle_measure)
+    simulate(cfg, [lane], int(round(est.timeout_s / dt)))
     if count == 0:
-        return EstimationRow(seed, position, est.target, None, None, None, flagged="timeout")
+        return EstimationRow(seed, position, est.target, None, None, None, flagged=flagged or "timeout")
     estimated = est_acc / count
     true_force = true_acc / count
     return EstimationRow(
@@ -414,9 +414,7 @@ def _estimation_cell(cfg: Config, model: PolynomialModel, seed: int, position: f
 
 def run_estimation_accuracy(cfg: Config, seed: int | None = None, models=None) -> list:
     """Scale-press accuracy sweep over the position grid; one row per (seed, position)."""
-    master = cfg.seed if seed is None else seed
-    if models is None:
-        models = calibrate_models(cfg, master)
+    master, models = _master_and_models(cfg, seed, models)
     model = models[0]
     rows = []
     for s in range(cfg.estimation.n_seeds):
@@ -440,23 +438,31 @@ class StepResult:
 
 def run_step_response(cfg: Config, seed: int | None = None, models=None) -> list:
     """The step-reference experiment, repeated over n_seeds plants."""
-    master = cfg.seed if seed is None else seed
-    if models is None:
-        models = calibrate_models(cfg, master)
+    master, models = _master_and_models(cfg, seed, models)
     model = models[0]
     sc = cfg.step
     obj = sc.object.build()
     duration = 2.0 * sc.segment_s
-
-    def target_of_t(t: float) -> float:
-        return sc.first_target if t < sc.segment_s else sc.second_target
-
+    dt = cfg.controller.period
     results = []
     for s in range(sc.n_seeds):
         plant_obj = _build_plant(cfg, 0, derive_seed(master, "step", s))
-        trace = _control_run(
-            cfg, plant_obj, model, obj, duration, target_of_t, warm_duty=sc.warm_start_duty
-        )
+        ctrl = _build_controller(cfg)
+        trace = Trace()
+        duty = sc.warm_start_duty
+        if duty > 0.0:
+            plant_obj.pressure = cfg.plant.k_duty * duty
+
+        def pi(i, reading, estimate):
+            nonlocal duty
+            target = sc.first_target if i * dt < sc.segment_s else sc.second_target
+            duty = ctrl.step(target, estimate.contact, duty)
+            return duty
+
+        def record(i, duty, reading, estimate):
+            _trace_row(trace, plant_obj, i * dt, duty, reading, estimate, Mode.FORCE_CONTROL.value)
+
+        simulate(cfg, [Lane(plant_obj, model, obj, duty, pi, record)], int(round(duration / dt)))
         metrics = [
             compute_step_metrics(trace, sc.first_target, 0.0, sc.segment_s),
             compute_step_metrics(trace, sc.second_target, sc.segment_s, duration),
@@ -487,17 +493,25 @@ class SwitchingResult:
 
 
 def run_switching_experiment(cfg: Config, seed: int | None = None, models=None) -> list:
-    master = cfg.seed if seed is None else seed
-    if models is None:
-        models = calibrate_models(cfg, master)
+    master, models = _master_and_models(cfg, seed, models)
     model = models[0]
     sw = cfg.switching
     obj = sw.object.build()
+    dt = cfg.controller.period
     results = []
     for s in range(sw.n_seeds):
         plant_obj = _build_plant(cfg, 0, derive_seed(master, "switching", s))
         supervisor = _build_supervisor(cfg, sw.target)
-        trace = _control_run(cfg, plant_obj, model, obj, sw.duration_s, None, supervisor=supervisor)
+        ctrl = _build_controller(cfg)
+        trace = Trace()
+
+        def record(i, duty, reading, estimate):
+            _trace_row(trace, plant_obj, i * dt, duty, reading, estimate, supervisor.mode.value)
+
+        def supervise(i, reading, estimate):
+            return supervisor.step(ctrl, estimate, dt)
+
+        simulate(cfg, [Lane(plant_obj, model, obj, 0.0, supervise, record)], int(round(sw.duration_s / dt)))
         if supervisor.switch_time is None:
             metrics = compute_step_metrics(trace, sw.target, 0.0, sw.duration_s)
             results.append(SwitchingResult(trace, metrics, None, None))
@@ -576,35 +590,28 @@ def grasp_trial(
     )
     targets = [setpoint / 2.0, setpoint / 2.0, setpoint]
     dt = cfg.controller.period
-    plants = [
-        _build_plant(cfg, f, derive_seed(master, "grasp", object_name, trial, "plant", f))
-        for f in range(3)
-    ]
-    ctrls = [_build_controller(cfg) for _ in range(3)]
-    sups = [_build_supervisor(cfg, targets[f]) for f in range(3)]
-    margin = cfg.supervisor.extrapolation_margin
-    for p in plants:
-        p.step(0.0, dt)
     n = int(round(cfg.grasp.duration_s / dt))
-    window = int(round(cfg.grasp.settle_window_s / dt))
+    tail_from = max(0, n - int(round(cfg.grasp.settle_window_s / dt)))
     peak = [0.0, 0.0, 0.0]
     tail_sums = [0.0, 0.0, 0.0]
-    tail_counts = [0, 0, 0]
-    for i in range(n):
-        for f in range(3):
-            p = plants[f]
-            reading = p.sense()
-            estimate = contact_force(
-                ForceReading(reading.force_meas, reading.angle_meas), models[f], margin
-            )
-            duty = sups[f].step(ctrls[f], estimate, dt)
-            p.step(duty, dt, obj)
+
+    def finger_lane(f: int) -> Lane:
+        p = _build_plant(cfg, f, derive_seed(master, "grasp", object_name, trial, "plant", f))
+        sup, ctrl = _build_supervisor(cfg, targets[f]), _build_controller(cfg)
+
+        def supervise(i, reading, estimate):
+            return sup.step(ctrl, estimate, dt)
+
+        def record(i, duty, reading, estimate):
             if p.contact_force > peak[f]:
                 peak[f] = p.contact_force
-            if i >= n - window:
+            if i >= tail_from:
                 tail_sums[f] += p.contact_force
-                tail_counts[f] += 1
-    grip = sum(tail_sums[f] / tail_counts[f] for f in range(3))
+
+        return Lane(p, models[f], obj, 0.0, supervise, record)
+
+    simulate(cfg, [finger_lane(f) for f in range(3)], n)
+    grip = sum(tail_sums[f] / (n - tail_from) for f in range(3))
     deformed = any(pk > deform_thr for pk in peak)
     broken = any(pk > break_thr for pk in peak)
     held = shake_test(grip, obj, random.Random(derive_seed(master, "grasp", object_name, trial, "shake")))
@@ -619,9 +626,7 @@ def _grasp_cell(args) -> tuple:
 
 def run_grasp_sweep(cfg: Config, seed: int | None = None, jobs: int = 1, models=None) -> SweepTable:
     """Outcome percentages per (object, set-point) over n_trials grasps each."""
-    master = cfg.seed if seed is None else seed
-    if models is None:
-        models = calibrate_models(cfg, master)
+    master, models = _master_and_models(cfg, seed, models)
     tasks = [
         (cfg, name, float(setpoint), trial, master, models)
         for name in sorted(cfg.grasp.objects)
@@ -667,9 +672,7 @@ class HardnessResult:
         return {"classification": self.classification, "slope_deg_per_n": self.slope_deg_per_n}
 
 
-def probe_hardness(
-    cfg: Config, stiffness: float | None, seed: int, models=None
-) -> HardnessResult:
+def probe_hardness(cfg: Config, stiffness: float | None, seed: int, models) -> HardnessResult:
     """Open-loop duty ramp; classify from the post-contact d(angle)/d(force).
 
     ``stiffness`` None means a free-space probe, which yields no
@@ -682,32 +685,22 @@ def probe_hardness(
         if stiffness is not None
         else None
     )
-    model = (models[0] if models else _build_plant(cfg, 0, 0).internal_model)
     plant_obj = _build_plant(cfg, 0, derive_seed(seed, "hardness", stiffness or "free"))
-    margin = cfg.supervisor.extrapolation_margin
     duty = 0.0
-    plant_obj.step(duty, dt)
-    trace = Trace()
     points = []
-    n = int(round(hc.duration_s / dt))
-    for i in range(n):
-        reading = plant_obj.sense()
-        estimate = contact_force(ForceReading(reading.force_meas, reading.angle_meas), model, margin)
-        duty = min(hc.max_duty, duty + hc.ramp_rate * dt)
-        plant_obj.step(duty, dt, obj)
-        trace.append(
-            i * dt,
-            duty,
-            plant_obj.pressure,
-            plant_obj.angle,
-            reading.force_meas,
-            estimate.internal,
-            estimate.contact,
-            plant_obj.contact_force,
-            "probe",
-        )
+    trace = Trace()
+
+    def ramp(i, reading, estimate):
+        nonlocal duty
         if estimate.contact > hc.min_contact_force:
             points.append((estimate.contact, reading.angle_meas))
+        duty = min(hc.max_duty, duty + hc.ramp_rate * dt)
+        return duty
+
+    def record(i, duty, reading, estimate):
+        _trace_row(trace, plant_obj, i * dt, duty, reading, estimate, "probe")
+
+    simulate(cfg, [Lane(plant_obj, models[0], obj, duty, ramp, record)], int(round(hc.duration_s / dt)))
     if len(points) < 20:
         return HardnessResult(classification=None, slope_deg_per_n=None, trace=trace)
     # least-squares slope of angle against estimated force
@@ -722,9 +715,7 @@ def probe_hardness(
 
 def run_hardness_probe(cfg: Config, seed: int | None = None, models=None) -> dict:
     """Probe the stiff and soft reference objects; returns both results."""
-    master = cfg.seed if seed is None else seed
-    if models is None:
-        models = calibrate_models(cfg, master)
+    master, models = _master_and_models(cfg, seed, models)
     return {
         "stiff": probe_hardness(cfg, cfg.hardness.stiff_stiffness, master, models),
         "soft": probe_hardness(cfg, cfg.hardness.soft_stiffness, master, models),

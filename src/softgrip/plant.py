@@ -179,10 +179,3 @@ def shake_test(total_grip_force: float, obj: ObjectModel, rng: random.Random) ->
         threshold = rng.gauss(obj.hold_requirement, obj.hold_spread)
     threshold = max(0.0, threshold)
     return total_grip_force >= threshold
-
-
-def default_internal_model(finger: int = 0) -> PolynomialModel:
-    """Ground-truth internal-force quartic for a finger (0-based index)."""
-    scale = DEFAULT_FINGER_SCALES[finger % len(DEFAULT_FINGER_SCALES)]
-    weights = tuple(w * scale for w in DEFAULT_INTERNAL_WEIGHTS)
-    return PolynomialModel(degree=len(weights) - 1, weights=weights)

@@ -97,6 +97,29 @@ def test_validate_unknown_key_exit_2(tmp_path, capsys):
     assert "plnt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, args, field",
+    [
+        ({"grasp.settle_window_s": 0}, [], "grasp.settle_window_s"),
+        ({"grasp.duration_s": -1}, [], "grasp.duration_s"),
+        ({"grasp.duration_s": "inf"}, [], "grasp.duration_s"),
+        ({"grasp.duration_s": 1e308}, [], "grasp.duration_s"),
+        ({"grasp.settle_window_s": 0.001}, [], "grasp.settle_window_s"),
+        ({"estimation.n_seeds": 0}, [], "estimation.n_seeds"),
+        ({"hardness.n_seeds": 20}, [], "hardness.n_seeds"),
+        ({}, ["--jobs", "-3"], "--jobs"),
+    ],
+)
+def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args, field):
+    path = write_config(tmp_path, extra)
+    out = tmp_path / "o"
+    for experiment in ("grasp", "estimate"):
+        rc = main(["run", experiment, "--config", str(path), "--out", str(out)] + args)
+        assert rc == 2
+        assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_invalid_config(tmp_path, capsys):
     path = write_config(tmp_path, {"plant.filter_alpha": 2.0})
     rc = main(["run", "step", "--config", str(path), "--out", str(tmp_path / "o")])

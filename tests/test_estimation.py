@@ -16,6 +16,7 @@ import random
 import pytest
 
 from softgrip.calibration import PolynomialModel, Sample, fit_polynomial
+from softgrip.config import default_config
 from softgrip.errors import OutOfRangeError
 from softgrip.estimation import (
     ContactDetector,
@@ -23,7 +24,14 @@ from softgrip.estimation import (
     contact_force,
     internal_force,
 )
-from softgrip.plant import FingerPlant, default_internal_model
+from softgrip.harness import _build_plant
+from softgrip.plant import FingerPlant
+
+
+def truth_model(finger=0):
+    """Ground-truth internal-force model, as the harness builds it for ``finger``."""
+    return _build_plant(default_config(), finger, 0).internal_model
+
 
 QUARTIC = (0.05, -0.01, 0.002, -0.0001, 0.000002)
 
@@ -138,7 +146,7 @@ def test_detector_validation():
 def _free_space_run(seed: int, duration_s: float = 10.0):
     """Drive the default plant free-space, return the estimate series."""
     dt = 1.0 / 60.0
-    model = default_internal_model(0)
+    model = truth_model(0)
     plant = FingerPlant(internal_model=model, seed=seed)
     duty = 0.0
     estimates = []
@@ -164,7 +172,7 @@ def test_free_space_no_false_positives_over_seeds():
 
 
 def test_free_space_mean_within_noise_standard_error():
-    plant = FingerPlant(internal_model=default_internal_model(0), seed=3)
+    plant = FingerPlant(internal_model=truth_model(0), seed=3)
     for seed in range(10):
         estimates = _free_space_run(seed)
         n = len(estimates)

@@ -11,6 +11,8 @@ Covers:
 - grasp sweep: exact percentage granularity, force-balance identity,
   deterministic tables, parallel == serial
 - hardness: stiff/soft classification and the free-space guard
+- the tick kernel: calibration with and without a trace, early exit, and
+  the module names the benchmark's tracer wraps
 """
 
 import copy
@@ -20,6 +22,7 @@ import pytest
 from softgrip import harness
 from softgrip.config import default_config
 from softgrip.harness import (
+    Lane,
     Trace,
     compute_step_metrics,
     grasp_trial,
@@ -30,6 +33,7 @@ from softgrip.harness import (
     run_hardness_probe,
     run_step_response,
     run_switching_experiment,
+    simulate,
 )
 
 
@@ -232,3 +236,61 @@ def test_step_metrics_unsettled_overshoot_covers_segment():
 def test_step_metrics_requires_rows():
     with pytest.raises(ValueError):
         compute_step_metrics(Trace(), 1.0, 0.0, 1.0)
+
+
+def test_calibrate_finger_trace_is_optional(cfg):
+    small = copy.deepcopy(cfg)
+    small.calibration.cycles = 2
+    plain, none = harness.calibrate_finger(small, 1, 4)
+    traced, trace = harness.calibrate_finger(small, 1, 4, with_trace=True)
+    assert none is None
+    assert traced == plain
+    cal, dt = small.calibration, small.controller.period
+    dwell_ticks = (2 * cal.levels - 1) * round(cal.hold_s / dt) + round(cal.rest_s / dt)
+    assert len(trace) == cal.cycles * dwell_ticks
+    assert set(trace.mode) == {"calibrate"}
+
+
+def test_simulate_stops_before_stepping_when_policy_returns_none(cfg):
+    dt = cfg.controller.period
+    plant = harness._build_plant(cfg, 0, 1)
+    reference = harness._build_plant(cfg, 0, 1)
+    for duty in (10.0, 50.0, 50.0):
+        reference.step(duty, dt)
+    recorded = []
+    lane = Lane(
+        plant, None, None, 10.0,
+        policy=lambda i, reading, estimate: 50.0 if i < 2 else None,
+        record=lambda i, duty, reading, estimate: recorded.append(i),
+    )
+    simulate(cfg, [lane], 10)
+    assert recorded == [0, 1]
+    assert plant.pressure == reference.pressure
+
+
+# names bench/child.py wraps on ``softgrip.harness`` to split and trace a run
+BENCH_WRAPPED = (
+    "shake_test",
+    "contact_force",
+    "derive_seed",
+    "grasp_trial",
+    "calibrate_finger",
+    "run_calibration_experiment",
+    "run_step_response",
+    "run_switching_experiment",
+    "run_grasp_sweep",
+    "run_hardness_probe",
+    "run_estimation_accuracy",
+)
+
+
+def test_benchmark_wrapped_names_exist(cfg, models, monkeypatch):
+    for name in BENCH_WRAPPED:
+        assert callable(getattr(harness, name)), name
+    assert callable(harness.Trace.append) and callable(harness.Trace.to_csv)
+    # the kernel looks the estimator up as a harness global, where it is wrapped
+    calls = []
+    estimate = harness.contact_force
+    monkeypatch.setattr(harness, "contact_force", lambda *a: calls.append(1) or estimate(*a))
+    probe_hardness(cfg, None, 3, models)
+    assert len(calls) == round(cfg.hardness.duration_s / cfg.controller.period)

@@ -20,15 +20,21 @@ import numpy as np
 import pytest
 
 from softgrip.calibration import PolynomialModel, Sample, fit_polynomial
+from softgrip.config import default_config
+from softgrip.harness import _build_plant
 from softgrip.plant import (
     DEFAULT_INTERNAL_WEIGHTS,
     FingerPlant,
     ObjectModel,
-    default_internal_model,
     shake_test,
 )
 
 DT = 1.0 / 60.0
+
+
+def truth_model(finger=0):
+    """Ground-truth internal-force model, as the harness builds it for ``finger``."""
+    return _build_plant(default_config(), finger, 0).internal_model
 
 
 def make_plant(seed=0, noise=True, **kw):
@@ -36,7 +42,7 @@ def make_plant(seed=0, noise=True, **kw):
     if not noise:
         params.update(noise_sigma=0.0, angle_noise_sigma=0.0)
     params.update(kw)
-    return FingerPlant(internal_model=default_internal_model(0), seed=seed, **params)
+    return FingerPlant(internal_model=truth_model(0), seed=seed, **params)
 
 
 def test_rest_equilibrium():
@@ -125,7 +131,7 @@ def test_compliant_object_lets_both_grow():
 
 
 def test_sense_superposition_noise_off():
-    model = default_internal_model(0)
+    model = truth_model(0)
     plant = make_plant(noise=False)
     for _ in range(300):
         plant.step(50.0, DT)
@@ -180,7 +186,7 @@ def test_determinism_bit_identical_traces():
 
 
 def test_default_internal_model_per_finger_scales():
-    models = [default_internal_model(f) for f in range(3)]
+    models = [truth_model(f) for f in range(3)]
     base = np.array(DEFAULT_INTERNAL_WEIGHTS)
     for m in models:
         ratio = np.array(m.weights) / base
@@ -222,7 +228,7 @@ def test_shake_rate_matches_normal_cdf():
 def test_calibration_roundtrip_recovers_coefficients():
     # free-space ramp data refit by the calibration module: coefficients of
     # the generating quartic are recovered within their fit standard errors
-    model = default_internal_model(0)
+    model = truth_model(0)
     plant = FingerPlant(internal_model=model, seed=5)
     samples = []
     duty_levels = [6.0 * k for k in range(1, 16)]
