@@ -27,7 +27,7 @@ from .calibration import (
     select_model,
 )
 from .control import PiController, Supervisor, positional_pi
-from .estimation import ContactDetector, ContactEstimate, ForceReading, contact_force, internal_force
+from .estimation import ContactDetector, ContactEstimate, contact_force, internal_force
 from .plant import FingerPlant, ObjectModel, SensorReadings, shake_test
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ContactDetector",
     "ContactEstimate",
     "FingerPlant",
-    "ForceReading",
     "ObjectModel",
     "PiController",
     "PolynomialModel",

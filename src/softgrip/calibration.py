@@ -101,47 +101,14 @@ class CalibrationReport:
         rec = next(r for r in self.records if r.degree == self.selected_degree)
         return PolynomialModel(rec.degree, rec.weights, self.angle_min, self.angle_max)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "selected_degree": self.selected_degree,
-            "angle_min": self.angle_min,
-            "angle_max": self.angle_max,
-            "records": [
-                {
-                    "degree": r.degree,
-                    "weights": list(r.weights) if r.weights is not None else None,
-                    "rss": r.rss,
-                    "sigma2_hat": r.sigma2_hat,
-                    "bic": r.bic,
-                    "r_squared": r.r_squared,
-                    "error": r.error,
-                }
-                for r in self.records
-            ],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationReport":
+        """Inverse of ``save_report``'s JSON: the fields by name, weights back to tuples."""
         records = tuple(
-            DegreeRecord(
-                degree=r["degree"],
-                weights=tuple(r["weights"]) if r["weights"] is not None else None,
-                rss=r["rss"],
-                sigma2_hat=r["sigma2_hat"],
-                bic=r["bic"],
-                r_squared=r["r_squared"],
-                error=r.get("error"),
-            )
+            DegreeRecord(**{**r, "weights": r["weights"] and tuple(r["weights"])})
             for r in data["records"]
         )
-        return cls(
-            records=records,
-            selected_degree=data["selected_degree"],
-            n_samples=data["n_samples"],
-            angle_min=data["angle_min"],
-            angle_max=data["angle_max"],
-        )
+        return cls(**{**data, "records": records})
 
 
 def _design_matrix(angles: np.ndarray, degree: int) -> np.ndarray:
@@ -303,8 +270,9 @@ def load_samples(path: str | Path) -> list[Sample]:
 
 
 def save_report(path: str | Path, report: CalibrationReport) -> None:
+    """The report as JSON keyed by its dataclass fields, nested records included."""
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, default=vars)
         fh.write("\n")
 
 

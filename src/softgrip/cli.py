@@ -23,8 +23,6 @@ from .errors import ConfigError, SoftgripError
 
 log = logging.getLogger("softgrip")
 
-EXPERIMENTS = ("step", "switch", "grasp", "hardness", "estimate")
-
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
@@ -39,9 +37,10 @@ def _setup_logging() -> None:
     )
 
 
-def _json_dump(path: Path, payload: dict) -> None:
+def _json_dump(path: Path, payload) -> None:
+    """Write ``payload`` as JSON; dataclasses inside it go out as their fields."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=vars)
         fh.write("\n")
 
 
@@ -93,69 +92,62 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _run_step(cfg: Config, out: Path) -> list:
+# Each runner returns (traces by file name, JSON file name, JSON payload); the
+# payloads are the result dataclasses, serialized field by field by _json_dump.
+
+
+def _run_step(cfg: Config, jobs: int) -> tuple:
     results = harness.run_step_response(cfg)
-    outputs = []
-    for k, res in enumerate(results):
-        name = f"step_trace_seed{k}.csv"
-        res.trace.to_csv(out / name)
-        outputs.append(name)
-    _json_dump(out / "step_metrics.json", {"runs": [r.to_dict() for r in results]})
-    return outputs + ["step_metrics.json"]
+    traces = {f"step_trace_seed{k}.csv": r.trace for k, r in enumerate(results)}
+    return traces, "step_metrics.json", {"runs": [{"segments": r.metrics} for r in results]}
 
 
-def _run_switch(cfg: Config, out: Path) -> list:
+def _run_switch(cfg: Config, jobs: int) -> tuple:
     results = harness.run_switching_experiment(cfg)
-    outputs = []
-    for k, res in enumerate(results):
-        name = f"switch_trace_seed{k}.csv"
-        res.trace.to_csv(out / name)
-        outputs.append(name)
-    _json_dump(out / "switch_metrics.json", {"runs": [r.to_dict() for r in results]})
-    return outputs + ["switch_metrics.json"]
+    traces = {f"switch_trace_seed{k}.csv": r.trace for k, r in enumerate(results)}
+    runs = [
+        {"switch_time": r.switch_time, "duty_range_post_settle": r.duty_range_post_settle, **vars(r.metrics)}
+        for r in results
+    ]
+    return traces, "switch_metrics.json", {"runs": runs}
 
 
-def _run_grasp(cfg: Config, out: Path, jobs: int) -> list:
-    table = harness.run_grasp_sweep(cfg, jobs=jobs)
-    _json_dump(out / "grasp_sweep.json", table.to_dict())
-    return ["grasp_sweep.json"]
+def _run_grasp(cfg: Config, jobs: int) -> tuple:
+    return {}, "grasp_sweep.json", harness.run_grasp_sweep(cfg, jobs=jobs)
 
 
-def _run_hardness(cfg: Config, out: Path) -> list:
+def _run_hardness(cfg: Config, jobs: int) -> tuple:
     results = harness.run_hardness_probe(cfg)
-    outputs = []
-    payload = {}
-    for name, res in results.items():
-        tname = f"hardness_trace_{name}.csv"
-        res.trace.to_csv(out / tname)
-        outputs.append(tname)
-        payload[name] = res.to_dict()
-    _json_dump(out / "hardness_result.json", payload)
-    return outputs + ["hardness_result.json"]
+    traces = {f"hardness_trace_{name}.csv": r.trace for name, r in results.items()}
+    payload = {
+        name: {"classification": r.classification, "slope_deg_per_n": r.slope_deg_per_n}
+        for name, r in results.items()
+    }
+    return traces, "hardness_result.json", payload
 
 
-def _run_estimate(cfg: Config, out: Path) -> list:
-    rows = harness.run_estimation_accuracy(cfg)
-    _json_dump(out / "estimation_errors.json", {"rows": [r.to_dict() for r in rows]})
-    return ["estimation_errors.json"]
+def _run_estimate(cfg: Config, jobs: int) -> tuple:
+    return {}, "estimation_errors.json", {"rows": harness.run_estimation_accuracy(cfg)}
+
+
+EXPERIMENTS = {
+    "step": _run_step,
+    "switch": _run_switch,
+    "grasp": _run_grasp,
+    "hardness": _run_hardness,
+    "estimate": _run_estimate,
+}
 
 
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
-    jobs = args.jobs
-    log.info("running experiment %r (seed %d, jobs %d)", args.experiment, cfg.seed, jobs)
-    if args.experiment == "step":
-        outputs = _run_step(cfg, out)
-    elif args.experiment == "switch":
-        outputs = _run_switch(cfg, out)
-    elif args.experiment == "grasp":
-        outputs = _run_grasp(cfg, out, jobs)
-    elif args.experiment == "hardness":
-        outputs = _run_hardness(cfg, out)
-    else:
-        outputs = _run_estimate(cfg, out)
-    _write_manifest(out, args.experiment, cfg, outputs)
+    log.info("running experiment %r (seed %d, jobs %d)", args.experiment, cfg.seed, args.jobs)
+    traces, name, payload = EXPERIMENTS[args.experiment](cfg, args.jobs)
+    for tname, trace in traces.items():
+        trace.to_csv(out / tname)
+    _json_dump(out / name, payload)
+    _write_manifest(out, args.experiment, cfg, [*traces, name])
     return EXIT_OK
 
 
@@ -182,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (defaults apply when omitted)")
     common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    jobs_help = "parallel workers for `run grasp` (default 1; other commands run serially)"
+    common.add_argument("--jobs", type=int, default=1, help=jobs_help)
 
     p_cal = sub.add_parser("calibrate", parents=[common], help="run the calibration experiment")
     p_cal.add_argument("--out", required=True, help="output directory")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -210,6 +211,11 @@ def _merge(obj, data: dict, path: str):
         elif isinstance(current, list):
             if not isinstance(value, list):
                 raise ConfigError(f"{where}: expected a list")
+            for k, item in enumerate(value):
+                # every config list holds numbers; ints stay ints (seeds hash them as given)
+                finite = isinstance(item, _NUMERIC) and abs(item) <= sys.float_info.max
+                if isinstance(item, bool) or not finite:
+                    raise ConfigError(f"{where}[{k}]: expected a finite number")
             setattr(obj, key, list(value))
         elif isinstance(current, bool) or isinstance(value, (dict, list)):
             raise ConfigError(f"{where}: unexpected value type {type(value).__name__}")

@@ -13,18 +13,11 @@ from dataclasses import dataclass
 
 from .calibration import PolynomialModel
 from .errors import OutOfRangeError
+from .plant import SensorReadings
 
 DEFAULT_CONTACT_THRESHOLD = 0.2  # N, above the worst-case free-space estimation error
 DEFAULT_HYSTERESIS_RATIO = 0.5
 DEFAULT_EXTRAPOLATION_MARGIN = 0.1  # fraction of the calibrated angle span
-
-
-@dataclass(frozen=True)
-class ForceReading:
-    """Simultaneous sensor pair: measured force (N) and bend angle (deg)."""
-
-    measured: float
-    angle: float
 
 
 @dataclass(frozen=True)
@@ -58,13 +51,13 @@ def internal_force(
 
 
 def contact_force(
-    reading: ForceReading,
+    reading: SensorReadings,
     model: PolynomialModel,
     margin: float = DEFAULT_EXTRAPOLATION_MARGIN,
 ) -> ContactEstimate:
     """Contact = measured - predicted internal force (sign preserved)."""
-    internal = internal_force(model, reading.angle, margin)
-    return ContactEstimate(contact=reading.measured - internal, internal=internal)
+    internal = internal_force(model, reading.angle_meas, margin)
+    return ContactEstimate(contact=reading.force_meas - internal, internal=internal)
 
 
 class ContactDetector:

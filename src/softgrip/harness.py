@@ -20,7 +20,8 @@ from . import calibration as calib
 from .calibration import PolynomialModel, Sample
 from .config import Config
 from .control import Mode, PiController, Supervisor
-from .estimation import ContactDetector, ForceReading, contact_force
+from .errors import OutOfRangeError
+from .estimation import ContactDetector, contact_force
 from .plant import FingerPlant, ObjectModel, shake_test
 from .seeding import derive_seed
 
@@ -56,23 +57,11 @@ class Trace:
         return len(self.t)
 
     def to_csv(self, path: str | Path) -> None:
+        *numbers, modes = vars(self).values()  # the columns in TRACE_HEADER order
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRACE_HEADER)
-            for i in range(len(self.t)):
-                writer.writerow(
-                    [
-                        repr(self.t[i]),
-                        repr(self.duty[i]),
-                        repr(self.pressure[i]),
-                        repr(self.angle[i]),
-                        repr(self.f_m[i]),
-                        repr(self.f_i_pred[i]),
-                        repr(self.f_c_est[i]),
-                        repr(self.f_c_true[i]),
-                        self.mode[i],
-                    ]
-                )
+            writer.writerows(zip(*(map(repr, column) for column in numbers), modes))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Trace":
@@ -105,15 +94,6 @@ class StepMetrics:
     settling_time: float | None
     overshoot: float
     rms_error_post_settle: float
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "settled": self.settled,
-            "settling_time": self.settling_time,
-            "overshoot": self.overshoot,
-            "rms_error_post_settle": self.rms_error_post_settle,
-        }
 
 
 @dataclass(frozen=True)
@@ -232,9 +212,7 @@ def simulate(cfg: Config, lanes: list, n_ticks: int) -> None:
             reading = plant_obj.sense()
             estimate = None
             if model is not None:
-                estimate = contact_force(
-                    ForceReading(reading.force_meas, reading.angle_meas), model, margin
-                )
+                estimate = contact_force(reading, model, margin)
             duty = policy(i, reading, estimate)
             if duty is None:
                 return
@@ -359,17 +337,6 @@ class EstimationRow:
     abs_error: float | None
     flagged: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "position_angle": self.position_angle,
-            "target": self.target,
-            "estimated": self.estimated,
-            "true_force": self.true_force,
-            "abs_error": self.abs_error,
-            "flagged": self.flagged,
-        }
-
 
 def _estimation_cell(cfg: Config, model: PolynomialModel, seed: int, position: float) -> EstimationRow:
     est = cfg.estimation
@@ -432,9 +399,6 @@ class StepResult:
     trace: Trace
     metrics: list  # StepMetrics per segment
 
-    def to_dict(self) -> dict:
-        return {"segments": [m.to_dict() for m in self.metrics]}
-
 
 def run_step_response(cfg: Config, seed: int | None = None, models=None) -> list:
     """The step-reference experiment, repeated over n_seeds plants."""
@@ -482,15 +446,6 @@ class SwitchingResult:
     switch_time: float | None
     duty_range_post_settle: tuple | None
 
-    def to_dict(self) -> dict:
-        return {
-            "switch_time": self.switch_time,
-            "duty_range_post_settle": list(self.duty_range_post_settle)
-            if self.duty_range_post_settle
-            else None,
-            **self.metrics.to_dict(),
-        }
-
 
 def run_switching_experiment(cfg: Config, seed: int | None = None, models=None) -> list:
     master, models = _master_and_models(cfg, seed, models)
@@ -536,22 +491,12 @@ def run_switching_experiment(cfg: Config, seed: int | None = None, models=None) 
 
 @dataclass(frozen=True)
 class SweepRow:
-    object_name: str
+    object: str
     target_force: float
     dropped_pct: float
     deformed_pct: float
     broken_pct: float
     n_trials: int
-
-    def to_dict(self) -> dict:
-        return {
-            "object": self.object_name,
-            "target_force": self.target_force,
-            "dropped_pct": self.dropped_pct,
-            "deformed_pct": self.deformed_pct,
-            "broken_pct": self.broken_pct,
-            "n_trials": self.n_trials,
-        }
 
 
 @dataclass
@@ -559,10 +504,7 @@ class SweepTable:
     rows: list  # SweepRow
 
     def for_object(self, name: str) -> list:
-        return [r for r in self.rows if r.object_name == name]
-
-    def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows]}
+        return [r for r in self.rows if r.object == name]
 
 
 def grasp_trial(
@@ -610,7 +552,10 @@ def grasp_trial(
 
         return Lane(p, models[f], obj, 0.0, supervise, record)
 
-    simulate(cfg, [finger_lane(f) for f in range(3)], n)
+    try:
+        simulate(cfg, [finger_lane(f) for f in range(3)], n)
+    except OutOfRangeError as exc:
+        raise OutOfRangeError(f"grasp of {object_name} at {setpoint} N, trial {trial}: {exc}") from exc
     grip = sum(tail_sums[f] / (n - tail_from) for f in range(3))
     deformed = any(pk > deform_thr for pk in peak)
     broken = any(pk > break_thr for pk in peak)
@@ -618,43 +563,32 @@ def grasp_trial(
     return GraspOutcome(dropped=not held, deformed=deformed, broken=broken)
 
 
-def _grasp_cell(args) -> tuple:
-    cfg, object_name, setpoint, trial, master, models = args
-    outcome = grasp_trial(cfg, object_name, setpoint, trial, master, models)
-    return (object_name, setpoint, trial, outcome.dropped, outcome.deformed, outcome.broken)
-
-
 def run_grasp_sweep(cfg: Config, seed: int | None = None, jobs: int = 1, models=None) -> SweepTable:
     """Outcome percentages per (object, set-point) over n_trials grasps each."""
     master, models = _master_and_models(cfg, seed, models)
-    tasks = [
-        (cfg, name, float(setpoint), trial, master, models)
-        for name in sorted(cfg.grasp.objects)
-        for setpoint in cfg.grasp.setpoints
-        for trial in range(cfg.grasp.n_trials)
-    ]
+    n = cfg.grasp.n_trials
+    cells = [(name, float(sp)) for name in sorted(cfg.grasp.objects) for sp in cfg.grasp.setpoints]
+    tasks = [(cfg, name, sp, trial, master, models) for name, sp in cells for trial in range(n)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_grasp_cell, tasks, chunksize=4))
+            outcomes = list(pool.map(grasp_trial, *zip(*tasks), chunksize=4))
     else:
-        outcomes = [_grasp_cell(t) for t in tasks]
+        outcomes = [grasp_trial(*task) for task in tasks]
     rows = []
-    for name in sorted(cfg.grasp.objects):
-        for setpoint in cfg.grasp.setpoints:
-            cell = [o for o in outcomes if o[0] == name and o[1] == float(setpoint)]
-            nt = len(cell)
-            rows.append(
-                SweepRow(
-                    object_name=name,
-                    target_force=float(setpoint),
-                    dropped_pct=100.0 * sum(o[3] for o in cell) / nt,
-                    deformed_pct=100.0 * sum(o[4] for o in cell) / nt,
-                    broken_pct=100.0 * sum(o[5] for o in cell) / nt,
-                    n_trials=nt,
-                )
+    for k, (name, sp) in enumerate(cells):
+        cell = outcomes[k * n : (k + 1) * n]  # pool.map keeps task order
+        rows.append(
+            SweepRow(
+                object=name,
+                target_force=sp,
+                dropped_pct=100.0 * sum(o.dropped for o in cell) / n,
+                deformed_pct=100.0 * sum(o.deformed for o in cell) / n,
+                broken_pct=100.0 * sum(o.broken for o in cell) / n,
+                n_trials=n,
             )
+        )
     return SweepTable(rows=rows)
 
 
@@ -667,9 +601,6 @@ class HardnessResult:
     classification: str | None  # "stiff" | "soft" | None (no contact)
     slope_deg_per_n: float | None
     trace: Trace
-
-    def to_dict(self) -> dict:
-        return {"classification": self.classification, "slope_deg_per_n": self.slope_deg_per_n}
 
 
 def probe_hardness(cfg: Config, stiffness: float | None, seed: int, models) -> HardnessResult:

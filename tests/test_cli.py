@@ -2,6 +2,9 @@
 
 Covers:
 - exit codes: 0 success, 1 runtime failure, 2 usage/config errors
+- a grasp that bends past the calibrated range names its object,
+  set-point and trial
+- the exact key sets of every JSON output
 - validate: normalized dump with defaults, per-field diagnostics
 - outputs land only under --out; manifest written alongside
 - --seed override recorded in the manifest
@@ -108,6 +111,11 @@ def test_validate_unknown_key_exit_2(tmp_path, capsys):
         ({"estimation.n_seeds": 0}, [], "estimation.n_seeds"),
         ({"hardness.n_seeds": 20}, [], "hardness.n_seeds"),
         ({}, ["--jobs", "-3"], "--jobs"),
+        ({"estimation.positions": ["x"]}, [], "estimation.positions[0]"),
+        ({"grasp.setpoints": ["a"]}, [], "grasp.setpoints[0]"),
+        ({"plant.internal_weights": [None]}, [], "plant.internal_weights[0]"),
+        ({"plant.finger_scales": [1, "b", 1]}, [], "plant.finger_scales[1]"),
+        ({"estimation.positions": [20.0, float("inf")]}, [], "estimation.positions[1]"),
     ],
 )
 def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args, field):
@@ -118,6 +126,24 @@ def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args,
         assert rc == 2
         assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_grasp_out_of_range_names_the_trial(tmp_path, capsys):
+    # a soft cup at 4 N bends the finger past a low-pressure calibration
+    path = write_config(
+        tmp_path,
+        {
+            "calibration.peak_pressure": 30,
+            "grasp.objects": {"plastic_cup": {"stiffness": 0.005}},
+            "grasp.setpoints": [4.0],
+            "grasp.n_trials": 1,
+        },
+    )
+    rc = main(["run", "grasp", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grasp of plastic_cup at 4.0 N, trial 0: angle ")
+    assert "outside calibrated range" in err
 
 
 def test_run_rejects_invalid_config(tmp_path, capsys):
@@ -155,14 +181,57 @@ def test_seed_flag_overrides_and_is_recorded(tmp_path):
     assert manifest["config"]["seed"] == 99
 
 
-def test_run_step_metrics_schema(tmp_path):
+SEGMENT_KEYS = {"target", "settled", "settling_time", "overshoot", "rms_error_post_settle"}
+
+
+@pytest.mark.parametrize(
+    "command, filename, pick, keys",
+    [
+        pytest.param(
+            ["run", "step"], "step_metrics.json",
+            lambda d: [seg for run in d["runs"] for seg in run["segments"]],
+            SEGMENT_KEYS, id="step-segments",
+        ),
+        pytest.param(
+            ["run", "switch"], "switch_metrics.json", lambda d: d["runs"],
+            SEGMENT_KEYS | {"switch_time", "duty_range_post_settle"}, id="switch-runs",
+        ),
+        pytest.param(
+            ["run", "estimate"], "estimation_errors.json", lambda d: d["rows"],
+            {"seed", "position_angle", "target", "estimated", "true_force", "abs_error", "flagged"},
+            id="estimation-rows",
+        ),
+        pytest.param(
+            ["run", "grasp"], "grasp_sweep.json", lambda d: d["rows"],
+            {"object", "target_force", "dropped_pct", "deformed_pct", "broken_pct", "n_trials"},
+            id="grasp-rows",
+        ),
+        pytest.param(
+            ["run", "hardness"], "hardness_result.json", lambda d: [d], {"stiff", "soft"}, id="hardness",
+        ),
+        pytest.param(
+            ["run", "hardness"], "hardness_result.json", lambda d: list(d.values()),
+            {"classification", "slope_deg_per_n"}, id="hardness-results",
+        ),
+        pytest.param(
+            ["calibrate"], "calibration_finger1.json", lambda d: [d],
+            {"records", "selected_degree", "n_samples", "angle_min", "angle_max"}, id="calibration",
+        ),
+        pytest.param(
+            ["calibrate"], "calibration_finger1.json", lambda d: d["records"],
+            {"degree", "weights", "rss", "sigma2_hat", "bic", "r_squared", "error"},
+            id="calibration-records",
+        ),
+    ],
+)
+def test_run_json_schema(tmp_path, command, filename, pick, keys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    assert main(["run", "step", "--config", str(cfg), "--out", str(out)]) == 0
-    metrics = json.loads((out / "step_metrics.json").read_text())
-    seg = metrics["runs"][0]["segments"][0]
-    assert "rms_error_post_settle" in seg
-    assert "settling_time" in seg and "overshoot" in seg
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 0
+    items = pick(json.loads((out / filename).read_text()))
+    assert items
+    for item in items:
+        assert set(item) == keys
 
 
 def test_run_grasp_table_shape(tmp_path):

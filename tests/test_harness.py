@@ -9,7 +9,8 @@ Covers:
   slow settling on the default plant
 - switching: single switch, settling from the switch instant
 - grasp sweep: exact percentage granularity, force-balance identity,
-  deterministic tables, parallel == serial
+  deterministic tables, parallel == serial, a repeated set-point counted
+  once per row
 - hardness: stiff/soft classification and the free-space guard
 - the tick kernel: calibration with and without a trace, early exit, and
   the module names the benchmark's tracer wraps
@@ -181,6 +182,17 @@ def test_grasp_percentages_are_exact_multiples(cfg, models):
         for pct in (row.dropped_pct, row.deformed_pct, row.broken_pct):
             assert pct == pytest.approx(round(pct / step) * step)
         assert row.n_trials == 4
+
+
+def test_grasp_repeated_setpoint_counts_each_cell_once(cfg, models):
+    twice = copy.deepcopy(cfg)
+    twice.grasp.objects = {"eggshell": cfg.grasp.objects["eggshell"]}
+    twice.grasp.setpoints = [1.0, 1.0]
+    twice.grasp.n_trials = 2
+    twice.grasp.duration_s = 2.0
+    rows = run_grasp_sweep(twice, 3, models=models).rows
+    assert [r.n_trials for r in rows] == [2, 2]
+    assert rows[0] == rows[1]
 
 
 def test_grasp_balance_targets_exact():
