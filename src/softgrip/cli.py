@@ -152,12 +152,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = load_config(args.config) if args.config else default_config()
-    problems = validate(cfg)
-    if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _resolve_config(args)
     json.dump(config_to_dict(cfg), sys.stdout, indent=2, sort_keys=True)
     print()
     return EXIT_OK

@@ -4,6 +4,11 @@ A config file is a JSON object; any subset of keys may be given and the rest
 fall back to defaults (so an empty file is the default config).  Unknown keys
 are rejected with their full path, and ``validate`` returns per-field
 diagnostics for out-of-range values.
+
+Each bounded field declares its bound beside its default (the ``_bounded``
+metadata below); ``validate`` walks the tree once, checking every number
+against that bound and rejecting NaN and inf (the failure thresholds admit
+inf), then applies the few rules that span fields.
 """
 
 from __future__ import annotations
@@ -14,21 +19,66 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
-from . import control, estimation, plant
+from . import calibration, control, estimation, plant
 from .errors import ConfigError
+
+
+@dataclass(frozen=True)
+class _Bound:
+    """A field's admissible values; ``test`` is written so that NaN fails it."""
+
+    rule: str
+    test: Callable[[float], bool]
+    admits_inf: bool = False
+    in_ticks: bool = False  # test the span in control ticks, value / controller.period
+
+    def admits(self, value, period: float | None) -> bool:
+        """``period`` None: controller.period is out of range and reported on its own."""
+        if self.in_ticks:
+            return period is None or self.test(value / period)
+        return self.test(value)
+
+
+_ANY = _Bound("", lambda v: True)  # unbounded numbers need only be finite
+_POSITIVE = _Bound("must be > 0", lambda v: v > 0)
+_NON_NEGATIVE = _Bound("must be >= 0", lambda v: v >= 0)
+_UNIT = _Bound("must be in [0, 1]", lambda v: 0 <= v <= 1)
+_UNIT_OPEN_BELOW = _Bound("must be in (0, 1]", lambda v: 0 < v <= 1)
+_AT_LEAST_ONE = _Bound("must be >= 1", lambda v: v >= 1)
+# a failure threshold of inf means the object never deforms or breaks
+_THRESHOLD = _Bound("must be > 0", lambda v: v > 0, admits_inf=True)
+# runs count round(span / period) ticks: 0 ticks leaves a window empty and
+# inf ticks (1e308 / period) cannot be counted
+_ONE_TICK = _Bound(
+    "must be > 0 and span at least one, finitely many, control ticks",
+    lambda t: 0.5 < t < math.inf,
+    in_ticks=True,
+)
+# the step run counts round(2 * segment_s / period) ticks and starts its second
+# segment at segment_s; from 1.5 ticks on, that segment always holds a tick
+_STEP_SEGMENT = _Bound(
+    "must span at least 1.5, finitely many, control ticks (a tick in each step segment)",
+    lambda t: 1.5 <= t and 2.0 * t < math.inf,
+    in_ticks=True,
+)
+
+
+def _bounded(default, bound: _Bound):
+    return field(default=default, metadata={"bound": bound})
 
 
 @dataclass
 class PlantConfig:
-    tau_p: float = plant.DEFAULT_TAU_P
-    k_duty: float = plant.DEFAULT_K_DUTY
-    bend_gain: float = plant.DEFAULT_BEND_GAIN
-    angle_max: float = plant.DEFAULT_ANGLE_MAX
-    finger_stiffness: float = plant.DEFAULT_FINGER_STIFFNESS
-    noise_sigma: float = plant.DEFAULT_NOISE_SIGMA
-    angle_noise_sigma: float = plant.DEFAULT_ANGLE_NOISE_SIGMA
-    filter_alpha: float = plant.DEFAULT_FILTER_ALPHA
+    tau_p: float = _bounded(plant.DEFAULT_TAU_P, _POSITIVE)
+    k_duty: float = _bounded(plant.DEFAULT_K_DUTY, _POSITIVE)
+    bend_gain: float = _bounded(plant.DEFAULT_BEND_GAIN, _POSITIVE)
+    angle_max: float = _bounded(plant.DEFAULT_ANGLE_MAX, _POSITIVE)
+    finger_stiffness: float = _bounded(plant.DEFAULT_FINGER_STIFFNESS, _POSITIVE)
+    noise_sigma: float = _bounded(plant.DEFAULT_NOISE_SIGMA, _NON_NEGATIVE)
+    angle_noise_sigma: float = _bounded(plant.DEFAULT_ANGLE_NOISE_SIGMA, _NON_NEGATIVE)
+    filter_alpha: float = _bounded(plant.DEFAULT_FILTER_ALPHA, _UNIT_OPEN_BELOW)
     internal_weights: list = field(default_factory=lambda: list(plant.DEFAULT_INTERNAL_WEIGHTS))
     finger_scales: list = field(default_factory=lambda: list(plant.DEFAULT_FINGER_SCALES))
 
@@ -37,52 +87,43 @@ class PlantConfig:
 class ControllerConfig:
     kp: float = control.DEFAULT_KP
     ki: float = control.DEFAULT_KI
-    period: float = control.DEFAULT_PERIOD
+    period: float = _bounded(control.DEFAULT_PERIOD, _POSITIVE)
     output_min: float = 0.0
     output_max: float = 100.0
 
 
 @dataclass
 class SupervisorConfig:
-    approach_rate: float = control.DEFAULT_APPROACH_RATE
-    contact_threshold: float = estimation.DEFAULT_CONTACT_THRESHOLD
-    hysteresis_ratio: float = estimation.DEFAULT_HYSTERESIS_RATIO
-    extrapolation_margin: float = estimation.DEFAULT_EXTRAPOLATION_MARGIN
+    approach_rate: float = _bounded(control.DEFAULT_APPROACH_RATE, _POSITIVE)
+    contact_threshold: float = _bounded(estimation.DEFAULT_CONTACT_THRESHOLD, _POSITIVE)
+    hysteresis_ratio: float = _bounded(estimation.DEFAULT_HYSTERESIS_RATIO, _UNIT)
+    extrapolation_margin: float = _bounded(estimation.DEFAULT_EXTRAPOLATION_MARGIN, _NON_NEGATIVE)
 
 
 @dataclass
 class ObjectConfig:
-    position_angle: float = 10.0
-    stiffness: float = 0.1
-    deform_threshold: float = math.inf
-    deform_spread: float = 0.0
-    break_threshold: float = math.inf
-    break_spread: float = 0.0
-    hold_requirement: float = 0.0
-    hold_spread: float = 0.0
+    position_angle: float = _bounded(10.0, _NON_NEGATIVE)
+    stiffness: float = _bounded(0.1, _NON_NEGATIVE)
+    deform_threshold: float = _bounded(math.inf, _THRESHOLD)
+    deform_spread: float = _bounded(0.0, _NON_NEGATIVE)
+    break_threshold: float = _bounded(math.inf, _THRESHOLD)
+    break_spread: float = _bounded(0.0, _NON_NEGATIVE)
+    hold_requirement: float = _bounded(0.0, _NON_NEGATIVE)
+    hold_spread: float = _bounded(0.0, _NON_NEGATIVE)
 
     def build(self) -> plant.ObjectModel:
-        return plant.ObjectModel(
-            position_angle=self.position_angle,
-            stiffness=self.stiffness,
-            deform_threshold=self.deform_threshold,
-            deform_spread=self.deform_spread,
-            break_threshold=self.break_threshold,
-            break_spread=self.break_spread,
-            hold_requirement=self.hold_requirement,
-            hold_spread=self.hold_spread,
-        )
+        return plant.ObjectModel(**vars(self))
 
 
 @dataclass
 class CalibrationConfig:
-    cycles: int = 35
-    levels: int = 10
-    hold_s: float = 0.3
-    rest_s: float = 0.2
+    cycles: int = _bounded(35, _AT_LEAST_ONE)
+    levels: int = 10  # must exceed max_degree
+    hold_s: float = _bounded(0.3, _ONE_TICK)
+    rest_s: float = _bounded(0.2, _ONE_TICK)
     level_jitter: float = 5.0  # duty-%, uniform per cycle
-    peak_pressure: float = 60.0  # kPa, top of each ramp cycle
-    max_degree: int = 6
+    peak_pressure: float = _bounded(60.0, _POSITIVE)  # kPa, top of each ramp cycle
+    max_degree: int = _bounded(calibration.DEFAULT_MAX_DEGREE, _NON_NEGATIVE)
 
 
 @dataclass
@@ -91,10 +132,10 @@ class StepConfig:
         default_factory=lambda: ObjectConfig(position_angle=6.0, stiffness=1.4)
     )
     warm_start_duty: float = 8.0
-    first_target: float = 3.0
-    second_target: float = 2.0
-    segment_s: float = 60.0
-    n_seeds: int = 5
+    first_target: float = _bounded(3.0, _POSITIVE)
+    second_target: float = _bounded(2.0, _POSITIVE)
+    segment_s: float = _bounded(60.0, _STEP_SEGMENT)
+    n_seeds: int = _bounded(5, _AT_LEAST_ONE)
 
 
 @dataclass
@@ -102,29 +143,29 @@ class SwitchingConfig:
     object: ObjectConfig = field(
         default_factory=lambda: ObjectConfig(position_angle=6.0, stiffness=0.28)
     )
-    target: float = 2.5
-    duration_s: float = 15.0
-    n_seeds: int = 10
+    target: float = _bounded(2.5, _POSITIVE)
+    duration_s: float = _bounded(15.0, _ONE_TICK)
+    n_seeds: int = _bounded(10, _AT_LEAST_ONE)
 
 
 @dataclass
 class EstimationConfig:
     positions: list = field(default_factory=lambda: [15.0, 22.0, 29.0, 36.0, 43.0])
-    scale_stiffness: float = 0.5
-    target: float = 2.0  # N, the ~200 g scale target
+    scale_stiffness: float = _bounded(0.5, _POSITIVE)
+    target: float = _bounded(2.0, _POSITIVE)  # N, the ~200 g scale target
     ramp_rate: float = 8.0  # duty-%/s while pressing
-    settle_s: float = 1.0
-    window_s: float = 0.5
-    timeout_s: float = 30.0
-    n_seeds: int = 20
+    settle_s: float = _bounded(1.0, _ONE_TICK)
+    window_s: float = _bounded(0.5, _ONE_TICK)
+    timeout_s: float = _bounded(30.0, _ONE_TICK)
+    n_seeds: int = _bounded(20, _AT_LEAST_ONE)
 
 
 @dataclass
 class GraspConfig:
     setpoints: list = field(default_factory=lambda: [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
-    n_trials: int = 10
-    duration_s: float = 10.0
-    settle_window_s: float = 0.5
+    n_trials: int = _bounded(10, _AT_LEAST_ONE)
+    duration_s: float = _bounded(10.0, _ONE_TICK)
+    settle_window_s: float = _bounded(0.5, _ONE_TICK)
     objects: dict = field(
         default_factory=lambda: {
             "plastic_cup": ObjectConfig(
@@ -156,13 +197,13 @@ class GraspConfig:
 @dataclass
 class HardnessConfig:
     position_angle: float = 48.0  # contact at 40% duty with the default geometry
-    stiff_stiffness: float = 0.5
-    soft_stiffness: float = 0.03
+    stiff_stiffness: float = _bounded(0.5, _POSITIVE)
+    soft_stiffness: float = _bounded(0.03, _POSITIVE)
     ramp_rate: float = 15.0
     max_duty: float = 100.0
-    duration_s: float = 8.0
+    duration_s: float = _bounded(8.0, _ONE_TICK)
     min_contact_force: float = 0.25
-    slope_threshold: float = 10.0  # deg/N separating stiff from soft
+    slope_threshold: float = _bounded(10.0, _POSITIVE)  # deg/N separating stiff from soft
 
 
 @dataclass
@@ -220,14 +261,18 @@ def _merge(obj, data: dict, path: str):
         elif isinstance(current, bool) or isinstance(value, (dict, list)):
             raise ConfigError(f"{where}: unexpected value type {type(value).__name__}")
         elif isinstance(current, int) and not isinstance(current, bool):
-            if isinstance(value, bool) or not isinstance(value, _NUMERIC):
-                raise ConfigError(f"{where}: expected a number")
+            # an integral float such as 2.0 loads as 2, so seeds hash the same
+            integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+            if isinstance(value, bool) or not integral:
+                raise ConfigError(f"{where}: expected an integer")
             setattr(obj, key, int(value))
         elif isinstance(current, float):
             if isinstance(value, str) and value in ("inf", "Infinity"):
                 setattr(obj, key, math.inf)
             elif isinstance(value, bool) or not isinstance(value, _NUMERIC):
                 raise ConfigError(f"{where}: expected a number")
+            elif isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ConfigError(f"{where}: expected a finite number")
             else:
                 setattr(obj, key, float(value))
         else:
@@ -267,103 +312,43 @@ def config_to_dict(cfg: Config) -> dict:
     return conv(cfg)
 
 
-def _object_errors(name: str, oc: ObjectConfig) -> list[str]:
+def _field_errors(node, path: str, period: float | None) -> list[str]:
+    """Check each number in a dataclass tree against the bound beside its default."""
     errs = []
-    if oc.stiffness < 0.0:
-        errs.append(f"{name}.stiffness: must be >= 0")
-    if oc.position_angle < 0.0:
-        errs.append(f"{name}.position_angle: must be >= 0")
-    for fld in ("deform_threshold", "break_threshold"):
-        if getattr(oc, fld) <= 0.0:
-            errs.append(f"{name}.{fld}: must be > 0")
-    for fld in ("deform_spread", "break_spread", "hold_requirement", "hold_spread"):
-        if getattr(oc, fld) < 0.0:
-            errs.append(f"{name}.{fld}: must be >= 0")
+    for f in dataclasses.fields(node):
+        where, value = path + f.name, getattr(node, f.name)
+        bound = f.metadata.get("bound", _ANY)
+        if dataclasses.is_dataclass(value):
+            errs += _field_errors(value, where + ".", period)
+        elif isinstance(value, dict):  # grasp.objects
+            for name, obj in value.items():
+                errs += _field_errors(obj, f"{where}.{name}.", period)
+        elif isinstance(value, float) and not (math.isfinite(value) or bound.admits_inf):
+            errs.append(f"{where}: must be finite")
+        elif not bound.admits(value, period):
+            errs.append(f"{where}: {bound.rule}")
     return errs
 
 
 def validate(cfg: Config) -> list[str]:
-    """Range-check every field; returns a list of 'path: problem' strings."""
-    errs = []
-    pc, cc, sc = cfg.plant, cfg.controller, cfg.supervisor
-    if pc.tau_p <= 0.0:
-        errs.append("plant.tau_p: must be > 0")
-    if cc.period <= 0.0:
-        errs.append("controller.period: must be > 0")
-    elif pc.tau_p > 0.0 and cc.period > pc.tau_p / 2.0:
+    """Check every field's bound, then the rules that span fields; returns a
+    list of 'path: problem' strings."""
+    pc, cc, cal = cfg.plant, cfg.controller, cfg.calibration
+    errs = _field_errors(cfg, "", cc.period if 0.0 < cc.period < math.inf else None)
+    # a NaN leaf is already reported above; these comparisons skip it
+    if pc.tau_p > 0.0 and cc.period > pc.tau_p / 2.0:
         errs.append("controller.period: must be <= plant.tau_p / 2 (explicit integration)")
-    if pc.k_duty <= 0.0:
-        errs.append("plant.k_duty: must be > 0")
-    if pc.bend_gain <= 0.0:
-        errs.append("plant.bend_gain: must be > 0")
-    if pc.angle_max <= 0.0:
-        errs.append("plant.angle_max: must be > 0")
-    if pc.finger_stiffness <= 0.0:
-        errs.append("plant.finger_stiffness: must be > 0")
-    if pc.noise_sigma < 0.0:
-        errs.append("plant.noise_sigma: must be >= 0")
-    if pc.angle_noise_sigma < 0.0:
-        errs.append("plant.angle_noise_sigma: must be >= 0")
-    if not 0.0 < pc.filter_alpha <= 1.0:
-        errs.append("plant.filter_alpha: must be in (0, 1]")
-    if len(pc.internal_weights) < 1:
-        errs.append("plant.internal_weights: must have at least one coefficient")
-    if len(pc.finger_scales) != 3:
-        errs.append("plant.finger_scales: must list exactly 3 factors")
     if cc.output_min >= cc.output_max:
         errs.append("controller.output_min: must be < controller.output_max")
-    if sc.approach_rate <= 0.0:
-        errs.append("supervisor.approach_rate: must be > 0")
-    if sc.contact_threshold <= 0.0:
-        errs.append("supervisor.contact_threshold: must be > 0")
-    if not 0.0 <= sc.hysteresis_ratio <= 1.0:
-        errs.append("supervisor.hysteresis_ratio: must be in [0, 1]")
-    if sc.extrapolation_margin < 0.0:
-        errs.append("supervisor.extrapolation_margin: must be >= 0")
-    cal = cfg.calibration
-    if cal.cycles < 1:
-        errs.append("calibration.cycles: must be >= 1")
-    if cal.levels < cal.max_degree + 1:
+    if cal.levels <= cal.max_degree:
         errs.append("calibration.levels: must exceed calibration.max_degree")
-    if cal.hold_s <= 0.0:
-        errs.append("calibration.hold_s: must be > 0")
-    if cal.peak_pressure <= 0.0:
-        errs.append("calibration.peak_pressure: must be > 0")
-    if cal.max_degree < 0:
-        errs.append("calibration.max_degree: must be >= 0")
-    errs.extend(_object_errors("step.object", cfg.step.object))
-    errs.extend(_object_errors("switching.object", cfg.switching.object))
-    if cfg.step.n_seeds < 1 or cfg.switching.n_seeds < 1:
-        errs.append("step.n_seeds / switching.n_seeds: must be >= 1")
-    if cfg.step.first_target <= 0.0 or cfg.step.second_target <= 0.0:
-        errs.append("step targets: must be > 0")
-    if cfg.switching.target <= 0.0:
-        errs.append("switching.target: must be > 0")
-    est = cfg.estimation
-    if not est.positions:
-        errs.append("estimation.positions: must be nonempty")
-    if est.target <= 0.0:
-        errs.append("estimation.target: must be > 0")
-    if est.scale_stiffness <= 0.0:
-        errs.append("estimation.scale_stiffness: must be > 0")
-    if est.n_seeds < 1:
-        errs.append("estimation.n_seeds: must be >= 1")
-    g = cfg.grasp
-    if not g.setpoints:
-        errs.append("grasp.setpoints: must be nonempty")
-    if g.n_trials < 1:
-        errs.append("grasp.n_trials: must be >= 1")
-    # the outcome averages contact force over the final settle window; a
-    # window of 0 ticks, or of inf ticks (1e308 / period), crashes the run
-    for fld in ("duration_s", "settle_window_s"):
-        value = getattr(g, fld)
-        if not 0.0 < value < math.inf or (cc.period > 0.0 and not 0.5 < value / cc.period < math.inf):
-            errs.append(f"grasp.{fld}: must be > 0 and span at least one, finitely many, control ticks")
-    for name, oc in g.objects.items():
-        errs.extend(_object_errors(f"grasp.objects.{name}", oc))
-    h = cfg.hardness
-    if h.stiff_stiffness <= 0.0 or h.soft_stiffness <= 0.0:
-        errs.append("hardness stiffnesses: must be > 0")
-    if h.slope_threshold <= 0.0:
-        errs.append("hardness.slope_threshold: must be > 0")
+    if len(pc.finger_scales) != 3:
+        errs.append("plant.finger_scales: must list exactly 3 factors")
+    for where, items in (
+        ("plant.internal_weights", pc.internal_weights),
+        ("estimation.positions", cfg.estimation.positions),
+        ("grasp.setpoints", cfg.grasp.setpoints),
+    ):
+        if not items:
+            errs.append(f"{where}: must be nonempty")
     return errs

@@ -116,6 +116,18 @@ def test_validate_unknown_key_exit_2(tmp_path, capsys):
         ({"plant.internal_weights": [None]}, [], "plant.internal_weights[0]"),
         ({"plant.finger_scales": [1, "b", 1]}, [], "plant.finger_scales[1]"),
         ({"estimation.positions": [20.0, float("inf")]}, [], "estimation.positions[1]"),
+        ({"seed": float("inf")}, [], "seed"),  # what JSON's 1e400 parses to
+        ({"grasp.n_trials": float("inf")}, [], "grasp.n_trials"),
+        ({"calibration.cycles": 2.7}, [], "calibration.cycles"),
+        ({"step.segment_s": 0}, [], "step.segment_s"),
+        ({"step.segment_s": 0.01}, [], "step.segment_s"),
+        ({"switching.duration_s": 0}, [], "switching.duration_s"),
+        ({"controller.kp": float("nan")}, [], "controller.kp"),
+        (
+            {"grasp.objects.eggshell.deform_threshold": float("nan")},
+            [],
+            "grasp.objects.eggshell.deform_threshold",
+        ),
     ],
 )
 def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args, field):
