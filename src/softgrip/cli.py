@@ -169,7 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (defaults apply when omitted)")
     common.add_argument("--seed", type=int, help="override the config seed")
-    jobs_help = "parallel workers for `run grasp` (default 1; other commands run serially)"
+    jobs_help = (
+        "worker processes for `run grasp`, each running a contiguous chunk of the trial batch "
+        "(default 1; other commands run serially)"
+    )
     common.add_argument("--jobs", type=int, default=1, help=jobs_help)
 
     p_cal = sub.add_parser("calibrate", parents=[common], help="run the calibration experiment")

@@ -116,12 +116,3 @@ class Supervisor:
             self.duty = ctrl.step(self.target_force, estimate.contact, self.duty)
         self._elapsed += dt
         return self.duty
-
-    def reset(self, ctrl: PiController) -> None:
-        """Back to Approach at zero duty with all accumulated state cleared."""
-        ctrl.reset()
-        self.detector.reset()
-        self.mode = Mode.APPROACH
-        self.duty = 0.0
-        self.switch_time = None
-        self._elapsed = 0.0

@@ -90,6 +90,3 @@ class ContactDetector:
         elif contact >= self.threshold:
             self.in_contact = True
         return self.in_contact
-
-    def reset(self) -> None:
-        self.in_contact = False

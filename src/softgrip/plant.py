@@ -107,7 +107,7 @@ class FingerPlant:
         self.noise_sigma = noise_sigma
         self.angle_noise_sigma = angle_noise_sigma
         self.filter_alpha = filter_alpha
-        self._rng = random.Random(seed)
+        self.rng = random.Random(seed)  # the noise stream, drawn in sense order
         self.pressure = 0.0  # kPa
         self.angle = 0.0  # deg
         self.contact_force = 0.0  # N, true force against the object
@@ -153,7 +153,7 @@ class FingerPlant:
             raise RuntimeError("sense() before the first step()")
         raw = self.internal_model.predict(self.angle) + self.contact_force
         if self.noise_sigma > 0.0:
-            raw += self._rng.gauss(0.0, self.noise_sigma)
+            raw += self.rng.gauss(0.0, self.noise_sigma)
         raw = max(0.0, raw)
         if self._filter_state is None:
             self._filter_state = raw
@@ -161,7 +161,7 @@ class FingerPlant:
             self._filter_state += self.filter_alpha * (raw - self._filter_state)
         angle_meas = self.angle
         if self.angle_noise_sigma > 0.0:
-            angle_meas += self._rng.gauss(0.0, self.angle_noise_sigma)
+            angle_meas += self.rng.gauss(0.0, self.angle_noise_sigma)
         return SensorReadings(angle_meas=angle_meas, force_meas=self._filter_state)
 
 

@@ -4,6 +4,7 @@ Covers:
 - exit codes: 0 success, 1 runtime failure, 2 usage/config errors
 - a grasp that bends past the calibrated range names its object,
   set-point and trial
+- a switch run whose tracking error squares past the float range exits 0
 - the exact key sets of every JSON output
 - validate: normalized dump with defaults, per-field diagnostics
 - outputs land only under --out; manifest written alongside
@@ -156,6 +157,16 @@ def test_grasp_out_of_range_names_the_trial(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: grasp of plastic_cup at 4.0 N, trial 0: angle ")
     assert "outside calibrated range" in err
+
+
+def test_run_switch_huge_target_exit_0(tmp_path, capsys):
+    # the squares of a ~1e308 tracking error overflow; the RMS is taken scaled
+    path = write_config(tmp_path, {"switching.target": 1e308})
+    rc = main(["run", "switch", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    runs = json.loads((tmp_path / "o" / "switch_metrics.json").read_text())["runs"]
+    assert [r["rms_error_post_settle"] for r in runs] == [pytest.approx(1e308)] * 2
 
 
 def test_run_rejects_invalid_config(tmp_path, capsys):

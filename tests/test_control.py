@@ -187,19 +187,6 @@ def test_supervisor_switches_once_with_reset_and_carryover():
     assert sup.mode is Mode.FORCE_CONTROL
 
 
-def test_supervisor_reset_returns_to_approach():
-    ctrl = make_ctrl()
-    sup = Supervisor(target_force=2.0)
-    dt = 1.0 / 60.0
-    sup.step(ctrl, ContactEstimate(5.0, 0.0), dt)
-    assert sup.mode is Mode.FORCE_CONTROL
-    sup.reset(ctrl)
-    assert sup.mode is Mode.APPROACH
-    assert sup.duty == 0.0
-    assert ctrl.integral == 0.0
-    assert sup.switch_time is None
-
-
 def test_positional_pi_validation():
     with pytest.raises(ValueError):
         positional_pi(10.0, 1.5, 1.0 / 60.0, [])

@@ -17,6 +17,7 @@ Covers:
 """
 
 import copy
+import csv
 
 import pytest
 
@@ -48,6 +49,17 @@ def models(cfg):
     return harness.calibrate_models(cfg, cfg.seed)
 
 
+def read_trace(path) -> Trace:
+    """A trace CSV parsed back with ``csv``: the numbers, then the mode."""
+    trace = Trace()
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert tuple(next(reader)) == harness.TRACE_HEADER
+        for row in reader:
+            trace.append(*map(float, row[:8]), row[8])
+    return trace
+
+
 def test_trace_time_grid_and_csv_roundtrip(tmp_path, cfg, models):
     results = run_step_response(cfg, 1, models=models)
     trace = results[0].trace
@@ -56,7 +68,7 @@ def test_trace_time_grid_and_csv_roundtrip(tmp_path, cfg, models):
         assert trace.t[i] - trace.t[i - 1] == pytest.approx(dt, abs=1e-12)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
-    loaded = Trace.from_csv(path)
+    loaded = read_trace(path)
     assert loaded.t == trace.t
     assert loaded.f_c_est == trace.f_c_est
     assert loaded.mode == trace.mode
@@ -66,7 +78,7 @@ def test_metrics_recompute_from_csv(tmp_path, cfg, models):
     res = run_step_response(cfg, 2, models=models)[0]
     path = tmp_path / "trace.csv"
     res.trace.to_csv(path)
-    loaded = Trace.from_csv(path)
+    loaded = read_trace(path)
     seg = cfg.step.segment_s
     recomputed = [
         compute_step_metrics(loaded, cfg.step.first_target, 0.0, seg),
@@ -215,8 +227,7 @@ def test_grasp_table_deterministic_and_parallel_equal(cfg, models):
 
 def test_grasp_trial_outcome_fields(cfg, models):
     outcome = grasp_trial(cfg, "plastic_cup", 4.0, 0, 7, models)
-    assert outcome.deformed and not outcome.dropped and not outcome.broken
-    assert outcome.success is False
+    assert (outcome.dropped, outcome.deformed, outcome.broken) == (False, True, False)
     outcome2 = grasp_trial(cfg, "eggshell", 2.0, 0, 7, models)
     assert not outcome2.broken
 
