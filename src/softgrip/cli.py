@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file (defaults apply when omitted)")
     common.add_argument("--seed", type=int, help="override the config seed")
     jobs_help = (
-        "worker processes for `run grasp`, each running a contiguous chunk of the trial batch "
+        "worker processes for `run grasp`, which share its batches of trials "
         "(default 1; other commands run serially)"
     )
     common.add_argument("--jobs", type=int, default=1, help=jobs_help)

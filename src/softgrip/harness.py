@@ -11,17 +11,20 @@ Two tick kernels step the fingers, and give the same bits:
 - ``simulate`` steps a few lanes one Python call at a time (``FingerPlant``,
   ``contact_force``, ``Supervisor``).  Calibration, step, switch and
   hardness use it: they are narrow, long runs that record a trace.
-- ``simulate_lanes`` steps every lane at once as numpy arrays (``Lanes``).
-  The grasp sweep (540 lanes of 600 ticks at the default config) and the
-  estimation sweep (100 lanes that end early) use it.
+- ``simulate_lanes`` steps lanes in lockstep as numpy arrays (``Lanes``),
+  in batches of at most ``BATCH_LANES``.  The grasp sweep (540 lanes of 600
+  ticks at the default config) and the estimation sweep (100 lanes that
+  end early) use it.  Each lane still reads its sensors through its own
+  ``FingerPlant.sense``, which draws the lane's noise.
 
 Each wins where it is used.  On a 2-CPU VM (Python 3.11, numpy 2.4) the
-default grasp sweep took 0.23-0.28 s batched against 1.28-1.69 s scalar,
-and the estimation sweep 0.075 s against 0.22 s.  Six lanes of 7,200 ticks
-took 0.41-0.53 s batched against 0.17-0.20 s scalar: per-tick numpy calls
-cost more than a few lanes' Python calls.  Half or more of the batched time
-is each lane's ``random.gauss`` draws, which keep every noise stream as it
-was.  ``tests/test_batch.py`` checks the batch against the scalar kernel;
+default grasp sweep took 0.26 s batched against 0.88-0.97 s scalar, and the
+estimation sweep 0.073 s against 0.167 s.  Six lanes of 7,200 ticks under a
+fixed duty schedule took 0.17-0.18 s batched against 0.13 s scalar:
+per-tick numpy calls cost more than a few lanes' Python calls.  Most of the
+batched time is the per-lane ``FingerPlant.sense`` calls and their
+``random.gauss`` draws, which keep every noise stream as it was.
+``tests/test_batch.py`` checks the batch against the scalar kernel;
 ``BENCH_6.json`` holds the benchmark's before/after record.
 """
 
@@ -31,8 +34,9 @@ import csv
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -258,6 +262,14 @@ def _trace_row(trace: Trace, plant_obj: FingerPlant, t, duty, reading, estimate,
 # ---------------------------------------------------------------------------
 # The batched tick kernel
 
+# Lanes per batch.  Wider batches spread each numpy call over more lanes, but
+# every lane keeps its FingerPlant (noise stream and sensor filter, about
+# 4 kB) until its batch ends, so the sweeps run in batches of at most this
+# many and memory stays flat as they grow.  The default grasp sweep (540
+# lanes) took 0.50, 0.35, 0.28, 0.27 and 0.24 s in batches of 45, 90, 180, 270
+# and 540 lanes (2-CPU VM, Python 3.11, numpy 2.4).
+BATCH_LANES = 270
+
 
 def _raised(check: Callable, *args) -> Exception:
     """The error the scalar ``check(*args)`` raises for a lane the batch found
@@ -292,28 +304,25 @@ class Lanes:
     estimator and controller state as float64/bool arrays over lanes.
 
     Built from the FingerPlants ``_build_plant`` returns, which share
-    ``cfg.plant``'s parameters and bring their own internal model and noise
-    stream, plus each lane's fitted model and object.  Every operation
-    repeats the scalar one in the same order (Python's ``max(a, b)`` is
-    ``np.where(b > a, b, a)``), so a lane reproduces its scalar run bit for
-    bit.  ``group`` numbers the lanes that fail together, such as a grasp
-    trial's fingers.
+    ``cfg.plant``'s parameters and bring their own internal model, noise
+    stream and sensor filter, plus each lane's fitted model and object.  The
+    lanes hold the mechanical state and each plant reads its own sensors
+    from it, so every lane-tick is one ``FingerPlant.sense`` call, as on the
+    scalar path.  Every other operation repeats the scalar one in the same
+    order (Python's ``max(a, b)`` is ``np.where(b > a, b, a)``), so a lane
+    reproduces its scalar run bit for bit.  ``group`` numbers the lanes that
+    fail together, such as a grasp trial's fingers.
     """
 
-    def __init__(self, cfg: Config, plants: Iterable, models: list, objs: list, group=None):
-        # each plant is dropped once read, so only its noise stream stays in memory
-        true_models, self.gauss = [], []
-        for p in plants:
-            true_models.append(p.internal_model)
-            self.gauss.append(p.rng.gauss)
-        self.plant = p  # raises FingerPlant.step's error for a bad period
+    def __init__(self, cfg: Config, plants: list, models: list, objs: list, group=None):
+        self.plants = plants  # each lane's noise stream and sensor filter
         self.models = models
-        self.n = len(self.gauss)
+        self.n = len(plants)
+        p = plants[0]  # the parameters every lane shares
         self.group = np.arange(self.n) if group is None else np.asarray(group)
         self.tau_p, self.k_duty, self.bend_gain = p.tau_p, p.k_duty, p.bend_gain
-        self.angle_max, self.filter_alpha = p.angle_max, p.filter_alpha
-        self.noise_sigma, self.angle_noise_sigma = p.noise_sigma, p.angle_noise_sigma
-        self.true_columns = _weight_columns(true_models)
+        self.angle_max = p.angle_max
+        self.true_columns = _weight_columns([plant.internal_model for plant in plants])
         self.fit_columns = _weight_columns(models)
         self.margin = cfg.supervisor.extrapolation_margin
         bounds = [(-math.inf, math.inf)] * self.n  # the range internal_force checks
@@ -328,7 +337,7 @@ class Lanes:
         self.share = np.array([k_f / (k_f + o.stiffness) if o.stiffness > 0.0 else 1.0 for o in objs])
         zeros = np.zeros(self.n)
         self.pressure, self.angle, self.contact_force = zeros, zeros, zeros
-        self.filter_state = None  # set by the first sense
+        self.force_meas, self.angle_meas = np.zeros(self.n), np.zeros(self.n)
         self.duty, self.integral = zeros, zeros
         self.force_mode = np.zeros(self.n, dtype=bool)
         self.alive = np.ones(self.n, dtype=bool)
@@ -369,30 +378,16 @@ class Lanes:
         self.angle = np.where(alive, angle, self.angle)
         self.contact_force = np.where(alive, force, self.contact_force)
 
-    def _noise(self, live: np.ndarray, sigma: float) -> np.ndarray:
-        """One draw per alive lane from its own stream; 0.0 for the others."""
-        if len(live) == self.n:
-            return np.fromiter([g(0.0, sigma) for g in self.gauss], float, self.n)
-        out = np.zeros(self.n)
-        out[live] = np.fromiter([self.gauss[k](0.0, sigma) for k in live], float, len(live))
-        return out
-
     def sense(self) -> tuple:
-        """``FingerPlant.sense`` for every alive lane: (force_meas, angle_meas)."""
+        """``FingerPlant.sense`` of every alive lane, given the true state the
+        lanes hold: (force_meas, angle_meas), the last values for the others."""
         live = np.flatnonzero(self.alive)
-        raw = _horner(self.true_columns, self.angle) + self.contact_force
-        if self.noise_sigma > 0.0:
-            raw = raw + self._noise(live, self.noise_sigma)
-        raw = np.where(raw > 0.0, raw, 0.0)
-        if self.filter_state is None:
-            self.filter_state = raw
-        else:
-            state = self.filter_state + self.filter_alpha * (raw - self.filter_state)
-            self.filter_state = np.where(self.alive, state, self.filter_state)
-        angle_meas = self.angle
-        if self.angle_noise_sigma > 0.0:
-            angle_meas = angle_meas + self._noise(live, self.angle_noise_sigma)
-        return self.filter_state, angle_meas
+        force = _horner(self.true_columns, self.angle) + self.contact_force
+        plants = self.plants if len(live) == self.n else [self.plants[k] for k in live]
+        readings = list(map(FingerPlant.sense, plants, self.angle[live].tolist(), force[live].tolist()))
+        self.force_meas[live] = [r.force_meas for r in readings]
+        self.angle_meas[live] = [r.angle_meas for r in readings]
+        return self.force_meas, self.angle_meas
 
     def estimate(self, force_meas: np.ndarray, angle_meas: np.ndarray) -> np.ndarray:
         """``contact_force(...).contact``; a lane out of its model's range fails."""
@@ -416,7 +411,7 @@ def simulate_lanes(
     """
     dt = cfg.controller.period
     if dt <= 0.0 or dt > lanes.tau_p / 2.0:
-        lanes.plant.step(0.0, dt)  # raises FingerPlant.step's error
+        lanes.plants[0].step(0.0, dt)  # raises FingerPlant.step's error
     with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
         lanes.step(lanes.duty, dt, free=True)
         for i in range(n_ticks):
@@ -579,19 +574,30 @@ def run_estimation_accuracy(cfg: Config, seed: int | None = None, models=None) -
     """Scale-press accuracy sweep over the position grid; one row per (seed, position).
 
     Each cell is a lane that ramps the duty until the true force reaches the
-    target, settles, then averages the estimate and the truth over a window.
+    target, settles, then averages the estimate and the truth over a window;
+    the cells run in batches of at most ``BATCH_LANES`` lanes.
     """
     master, models = _master_and_models(cfg, seed, models)
     est = cfg.estimation
-    dt = cfg.controller.period
     cells = [
         (derive_seed(master, "estimation-seed", s), position)
         for s in range(est.n_seeds)
         for position in est.positions
     ]
+    rows = []
+    for k in range(0, len(cells), BATCH_LANES):
+        rows += _estimation_rows(cfg, models[0], cells[k : k + BATCH_LANES])
+    return rows
+
+
+def _estimation_rows(cfg: Config, model: PolynomialModel, cells: list) -> list:
+    """One batch of estimation cells, each (seed, position); a failing cell
+    raises, the first in the order given."""
+    est = cfg.estimation
+    dt = cfg.controller.period
     objs = [ObjectModel(position_angle=position, stiffness=est.scale_stiffness) for _, position in cells]
-    plants = (_build_plant(cfg, 0, derive_seed(s, "estimation", pos, "plant")) for s, pos in cells)
-    lanes = Lanes(cfg, plants, [models[0]] * len(cells), objs)
+    plants = [_build_plant(cfg, 0, derive_seed(s, "estimation", pos, "plant")) for s, pos in cells]
+    lanes = Lanes(cfg, plants, [model] * len(cells), objs)
     settle_ticks = max(1, int(round(est.settle_s / dt)))
     window_ticks = max(1, int(round(est.window_s / dt)))
     n = lanes.n
@@ -764,6 +770,8 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
     draws across force levels (common random numbers).  A failing trial
     raises, the first in the order given, as a trial-by-trial loop would.
     """
+    if not trials:
+        return []
     objs = {name: oc.build() for name, oc in cfg.grasp.objects.items()}
     thresholds, targets = [], []
     for name, setpoint, trial in trials:
@@ -782,10 +790,10 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
         thresholds.append((deform_thr, break_thr))
         targets += [setpoint / 2.0, setpoint / 2.0, setpoint]
     fingers = [(name, trial, f) for name, _, trial in trials for f in range(3)]
-    plants = (
+    plants = [
         _build_plant(cfg, f, derive_seed(master, "grasp", name, trial, "plant", f))
         for name, trial, f in fingers
-    )
+    ]
     lane_objs = [objs[name] for name, _, _ in fingers]
     lanes = Lanes(cfg, plants, list(models) * len(trials), lane_objs, group=np.arange(len(fingers)) // 3)
     dt = cfg.controller.period
@@ -830,23 +838,25 @@ def grasp_trial(
 def run_grasp_sweep(cfg: Config, seed: int | None = None, jobs: int = 1, models=None) -> SweepTable:
     """Outcome percentages per (object, set-point) over n_trials grasps each.
 
-    All trials run as one batch; with ``jobs`` > 1, a process pool runs the
-    batch in ``jobs`` contiguous chunks of trials, concatenated in task order.
+    The trials run in contiguous batches of at most ``BATCH_LANES`` lanes;
+    with ``jobs`` > 1 there are at least ``jobs`` batches, which a process
+    pool runs.  Either way the outcomes concatenate in task order.
     """
     master, models = _master_and_models(cfg, seed, models)
     n = cfg.grasp.n_trials
     cells = [(name, float(sp)) for name in sorted(cfg.grasp.objects) for sp in cfg.grasp.setpoints]
     trials = [(name, sp, trial) for name, sp in cells for trial in range(n)]
+    run = partial(_grasp_outcomes, cfg, master, models)
+    size = max(1, min(BATCH_LANES // 3, -(-len(trials) // jobs)))
+    chunks = [trials[k : k + size] for k in range(0, len(trials), size)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        size = -(-len(trials) // jobs)
-        chunks = [trials[k : k + size] for k in range(0, len(trials), size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_grasp_outcomes, *zip(*[(cfg, master, models, c) for c in chunks]))
-            outcomes = [o for part in parts for o in part]
+            parts = list(pool.map(run, chunks))
     else:
-        outcomes = _grasp_outcomes(cfg, master, models, trials)
+        parts = map(run, chunks)
+    outcomes = [o for part in parts for o in part]  # in task order
     rows = []
     for k, (name, sp) in enumerate(cells):
         cell = outcomes[k * n : (k + 1) * n]  # outcomes keep task order

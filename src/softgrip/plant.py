@@ -68,7 +68,7 @@ class ObjectModel:
             raise ValueError("hold_requirement must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SensorReadings:
     """One tick's sensor outputs: measured angle (deg) and filtered force (N)."""
 
@@ -141,28 +141,32 @@ class FingerPlant:
             self.contact_force = 0.0
         self._stepped = True
 
-    def sense(self) -> SensorReadings:
+    def sense(self, angle: float | None = None, force: float | None = None) -> SensorReadings:
         """Read the sensors for the current state.
 
         raw force = max(0, internal(angle) + contact + noise) -- the FSR
         cannot read negative.  The filter state initializes on the first
         sample, so with noise off a constant input is reproduced exactly
         from the first reading.
+
+        A stepper that holds the mechanical state outside the plant (the
+        harness's lockstep batch) passes the true ``angle`` and the
+        noiseless ``force`` = internal(angle) + contact instead; the noise
+        and the filter are this plant's either way.
         """
-        if not self._stepped:
-            raise RuntimeError("sense() before the first step()")
-        raw = self.internal_model.predict(self.angle) + self.contact_force
+        if angle is None:
+            if not self._stepped:
+                raise RuntimeError("sense() before the first step()")
+            angle = self.angle
+            force = self.internal_model.predict(angle) + self.contact_force
         if self.noise_sigma > 0.0:
-            raw += self.rng.gauss(0.0, self.noise_sigma)
-        raw = max(0.0, raw)
-        if self._filter_state is None:
-            self._filter_state = raw
-        else:
-            self._filter_state += self.filter_alpha * (raw - self._filter_state)
-        angle_meas = self.angle
+            force += self.rng.gauss(0.0, self.noise_sigma)
+        raw = force if force > 0.0 else 0.0  # max(0.0, force), NaN included, without a call
+        state = self._filter_state
+        self._filter_state = raw if state is None else state + self.filter_alpha * (raw - state)
         if self.angle_noise_sigma > 0.0:
-            angle_meas += self.rng.gauss(0.0, self.angle_noise_sigma)
-        return SensorReadings(angle_meas=angle_meas, force_meas=self._filter_state)
+            angle += self.rng.gauss(0.0, self.angle_noise_sigma)
+        return SensorReadings(angle, self._filter_state)
 
 
 def shake_test(total_grip_force: float, obj: ObjectModel, rng: random.Random) -> bool:

@@ -1,7 +1,7 @@
 """The batched tick kernel against the scalar one.
 
-``harness.simulate_lanes`` runs the grasp and estimation sweeps as one
-lockstep batch of lanes.  The oracles below are the trial-by-trial bodies
+``harness.simulate_lanes`` runs the grasp and estimation sweeps as lockstep
+batches of lanes.  The oracles below are the trial-by-trial bodies
 those sweeps had on the scalar ``harness.simulate``.  Over generated configs,
 seeds and models, the batch must give the same outcomes, the same grips
 passed to ``shake_test``, the same estimation rows and the same raised
@@ -10,7 +10,8 @@ errors (type and message), every float compared as ``float.hex``.
 The strategies reach noise sigma 0, object stiffness 0, ``output_min > 0``,
 fingers whose models have different degrees, models without a calibrated
 range, grasps that bend out of range, and estimation cells that time out,
-flag "unreachable" or bend out of range.  Sizes stay small (a cheap
+flag "unreachable" or bend out of range.  Pinned configs check sweeps
+split into smaller batches, and empty sweeps.  Sizes stay small (a cheap
 calibration, at most 8 grasp trials of at most 2 s) so the file runs in
 seconds.
 """
@@ -386,3 +387,31 @@ def test_grasp_sweep_serial_equals_two_jobs(spec):
     # the workers call shake_test out of the spy's reach: compare tables and errors
     serial = run(harness.run_grasp_sweep, cfg, None, 1, models)
     assert run(harness.run_grasp_sweep, cfg, None, 2, models)[:2] == serial[:2]
+
+
+@pytest.mark.parametrize("lanes", [1, 6])
+@pytest.mark.parametrize("spec", [OUT_OF_RANGE, NOISELESS], ids=["out-of-range", "noiseless"])
+def test_sweeps_in_small_batches_match_one_batch(monkeypatch, spec, lanes):
+    # a failing trial or cell still raises first in task order across batches
+    cfg = build(spec)
+    models = fitted_models(cfg, None, False)
+
+    def sweeps():
+        return run(harness.run_grasp_sweep, cfg, None, 1, models), run(
+            harness.run_estimation_accuracy, cfg, None, models
+        )
+
+    whole = sweeps()
+    monkeypatch.setattr(harness, "BATCH_LANES", lanes)
+    assert sweeps() == whole
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_empty_sweeps_return_nothing(jobs):
+    cfg = build(NOISELESS)
+    models = fitted_models(cfg, None, False)
+    assert harness._grasp_outcomes(cfg, cfg.seed, models, []) == []
+    cfg.grasp.objects = {}
+    assert harness.run_grasp_sweep(cfg, None, jobs, models).rows == []
+    cfg.estimation.positions = []
+    assert harness.run_estimation_accuracy(cfg, None, models) == []

@@ -163,6 +163,17 @@ def test_sense_floors_at_zero():
     assert plant.sense().force_meas == 0.0
 
 
+def test_sense_of_a_given_state_matches_the_plant_state():
+    # the lockstep batch holds the state and passes it in; the bits agree
+    obj = ObjectModel(position_angle=25.0, stiffness=0.3)
+    own, fed = make_plant(seed=5), make_plant(seed=5)
+    for i in range(300):
+        own.step(min(90.0, 0.4 * i), DT, obj)
+        force = own.internal_model.predict(own.angle) + own.contact_force
+        a, b = own.sense(), fed.sense(own.angle, force)
+        assert (a.angle_meas.hex(), a.force_meas.hex()) == (b.angle_meas.hex(), b.force_meas.hex())
+
+
 def test_sense_requires_step():
     plant = make_plant()
     with pytest.raises(RuntimeError):
