@@ -71,8 +71,6 @@ class PolynomialModel:
             acc = acc * angle + w
         return acc
 
-    __call__ = predict
-
 
 @dataclass(frozen=True)
 class DegreeRecord:
@@ -158,6 +156,25 @@ def residual_sum_of_squares(model: PolynomialModel, samples: list[Sample]) -> fl
     return float(sum((model.predict(s.angle) - s.force) ** 2 for s in samples))
 
 
+def _sigma2(rss: float, n: int) -> float:
+    return max(rss / n, SIGMA2_FLOOR)
+
+
+def _bic(rss: float, n: int, degree: int) -> float:
+    return math.log(n) * (degree + 1) + n * (math.log(2.0 * math.pi * _sigma2(rss, n)) + 1.0)
+
+
+def _total_sum_of_squares(samples: list[Sample]) -> float:
+    mean = sum(s.force for s in samples) / len(samples)
+    return sum((s.force - mean) ** 2 for s in samples)
+
+
+def _r_squared(rss: float, tss: float) -> float:
+    if tss == 0.0:
+        raise ZeroVarianceError("all force values identical; R^2 undefined")
+    return 1.0 - rss / tss
+
+
 def bic_score(model: PolynomialModel, samples: list[Sample]) -> float:
     """BIC = ln(n)*k - 2*ln(Lhat) with a Gaussian residual likelihood.
 
@@ -166,32 +183,24 @@ def bic_score(model: PolynomialModel, samples: list[Sample]) -> float:
     variance RSS/n is floored at SIGMA2_FLOOR so interpolating fits stay
     finite.
     """
-    n = len(samples)
-    if n == 0:
+    if not samples:
         raise ValueError("samples must be nonempty")
-    k = model.degree + 1
-    sigma2 = max(residual_sum_of_squares(model, samples) / n, SIGMA2_FLOOR)
-    neg2_log_like = n * (math.log(2.0 * math.pi * sigma2) + 1.0)
-    return math.log(n) * k + neg2_log_like
+    return _bic(residual_sum_of_squares(model, samples), len(samples), model.degree)
 
 
 def r_squared(model: PolynomialModel, samples: list[Sample]) -> float:
     """Coefficient of determination 1 - RSS/TSS."""
     if len(samples) < 2:
         raise ValueError("need at least 2 samples")
-    forces = [s.force for s in samples]
-    mean = sum(forces) / len(forces)
-    tss = sum((f - mean) ** 2 for f in forces)
-    if tss == 0.0:
-        raise ZeroVarianceError("all force values identical; R^2 undefined")
-    return 1.0 - residual_sum_of_squares(model, samples) / tss
+    return _r_squared(residual_sum_of_squares(model, samples), _total_sum_of_squares(samples))
 
 
 def select_model(samples: list[Sample], max_degree: int = DEFAULT_MAX_DEGREE) -> CalibrationReport:
     """Fit degrees 0..max_degree and select the BIC argmin (ties -> lower degree).
 
     Degrees whose fit fails are recorded with the error and skipped; only if
-    every degree fails is the last error re-raised.
+    every degree fails is the last error re-raised.  Each degree's scores take
+    one residual pass, through the formulas of ``bic_score`` and ``r_squared``.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -203,6 +212,7 @@ def select_model(samples: list[Sample], max_degree: int = DEFAULT_MAX_DEGREE) ->
     records = []
     best: tuple[float, int] | None = None
     last_error: Exception | None = None
+    tss = _total_sum_of_squares(samples)
     for degree in range(max_degree + 1):
         try:
             model = fit_polynomial(samples, degree)
@@ -213,13 +223,12 @@ def select_model(samples: list[Sample], max_degree: int = DEFAULT_MAX_DEGREE) ->
             )
             continue
         rss = residual_sum_of_squares(model, samples)
-        sigma2 = max(rss / n, SIGMA2_FLOOR)
-        bic = bic_score(model, samples)
+        bic = _bic(rss, n, degree)
         try:
-            r2 = r_squared(model, samples)
+            r2 = _r_squared(rss, tss)
         except ZeroVarianceError:
             r2 = None
-        records.append(DegreeRecord(degree, model.weights, rss, sigma2, bic, r2))
+        records.append(DegreeRecord(degree, model.weights, rss, _sigma2(rss, n), bic, r2))
         if best is None or bic < best[0]:
             best = (bic, degree)
     if best is None:

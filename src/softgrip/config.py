@@ -89,7 +89,7 @@ class ControllerConfig:
     ki: float = control.DEFAULT_KI
     period: float = _bounded(control.DEFAULT_PERIOD, _POSITIVE)
     output_min: float = 0.0
-    output_max: float = 100.0
+    output_max: float = plant.MAX_DUTY
 
 
 @dataclass
@@ -102,17 +102,25 @@ class SupervisorConfig:
 
 @dataclass
 class ObjectConfig:
+    """An object the finger presses on: where it sits and how it yields."""
+
     position_angle: float = _bounded(10.0, _NON_NEGATIVE)
     stiffness: float = _bounded(0.1, _NON_NEGATIVE)
-    deform_threshold: float = _bounded(math.inf, _THRESHOLD)
-    deform_spread: float = _bounded(0.0, _NON_NEGATIVE)
-    break_threshold: float = _bounded(math.inf, _THRESHOLD)
-    break_spread: float = _bounded(0.0, _NON_NEGATIVE)
-    hold_requirement: float = _bounded(0.0, _NON_NEGATIVE)
-    hold_spread: float = _bounded(0.0, _NON_NEGATIVE)
 
     def build(self) -> plant.ObjectModel:
         return plant.ObjectModel(**vars(self))
+
+
+@dataclass
+class GraspObjectConfig(ObjectConfig):
+    """An object that also draws deform, break and hold failures (defaults: ``plant.ObjectModel``'s)."""
+
+    deform_threshold: float = _bounded(plant.ObjectModel.deform_threshold, _THRESHOLD)
+    deform_spread: float = _bounded(plant.ObjectModel.deform_spread, _NON_NEGATIVE)
+    break_threshold: float = _bounded(plant.ObjectModel.break_threshold, _THRESHOLD)
+    break_spread: float = _bounded(plant.ObjectModel.break_spread, _NON_NEGATIVE)
+    hold_requirement: float = _bounded(plant.ObjectModel.hold_requirement, _NON_NEGATIVE)
+    hold_spread: float = _bounded(plant.ObjectModel.hold_spread, _NON_NEGATIVE)
 
 
 @dataclass
@@ -168,7 +176,7 @@ class GraspConfig:
     settle_window_s: float = _bounded(0.5, _ONE_TICK)
     objects: dict = field(
         default_factory=lambda: {
-            "plastic_cup": ObjectConfig(
+            "plastic_cup": GraspObjectConfig(
                 position_angle=10.0,
                 stiffness=0.08,
                 deform_threshold=1.2,
@@ -176,7 +184,7 @@ class GraspConfig:
                 hold_requirement=1.1,
                 hold_spread=0.35,
             ),
-            "paper_cup": ObjectConfig(
+            "paper_cup": GraspObjectConfig(
                 position_angle=10.0,
                 stiffness=0.12,
                 deform_threshold=1.9,
@@ -184,7 +192,7 @@ class GraspConfig:
                 hold_requirement=2.2,
                 hold_spread=0.60,
             ),
-            "eggshell": ObjectConfig(
+            "eggshell": GraspObjectConfig(
                 position_angle=10.0,
                 stiffness=0.5,
                 hold_requirement=0.8,
@@ -200,7 +208,7 @@ class HardnessConfig:
     stiff_stiffness: float = _bounded(0.5, _POSITIVE)
     soft_stiffness: float = _bounded(0.03, _POSITIVE)
     ramp_rate: float = 15.0
-    max_duty: float = 100.0
+    max_duty: float = plant.MAX_DUTY
     duration_s: float = _bounded(8.0, _ONE_TICK)
     min_contact_force: float = 0.25
     slope_threshold: float = _bounded(10.0, _POSITIVE)  # deg/N separating stiff from soft
@@ -244,10 +252,8 @@ def _merge(obj, data: dict, path: str):
                 raise ConfigError(f"{where}: expected an object")
             merged = dict(current)
             for name, spec in value.items():
-                base = merged.get(name, ObjectConfig())
-                obj_cfg = dataclasses.replace(base) if isinstance(base, ObjectConfig) else ObjectConfig()
-                _merge(obj_cfg, spec, f"{where}.{name}")
-                merged[name] = obj_cfg
+                base = merged.get(name, GraspObjectConfig())
+                merged[name] = _merge(dataclasses.replace(base), spec, f"{where}.{name}")
             setattr(obj, key, merged)
         elif isinstance(current, list):
             if not isinstance(value, list):

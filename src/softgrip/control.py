@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .estimation import ContactDetector, ContactEstimate
 from .errors import NonFiniteError
+from .plant import MAX_DUTY
 
 DEFAULT_KP = 10.0  # duty-% per newton
 DEFAULT_KI = 1.5  # duty-% per newton-second
@@ -47,7 +48,7 @@ class PiController:
     ki: float = DEFAULT_KI
     period: float = DEFAULT_PERIOD
     output_min: float = 0.0
-    output_max: float = 100.0
+    output_max: float = MAX_DUTY
     integral: float = 0.0
 
     def __post_init__(self):
@@ -96,8 +97,6 @@ class Supervisor:
     detector: ContactDetector = field(default_factory=ContactDetector)
     mode: Mode = Mode.APPROACH
     duty: float = 0.0
-    switch_time: float | None = None
-    _elapsed: float = 0.0
 
     def step(self, ctrl: PiController, estimate: ContactEstimate, dt: float) -> float:
         """Advance one tick; returns the duty cycle to apply (%)."""
@@ -106,7 +105,6 @@ class Supervisor:
         if self.mode is Mode.APPROACH:
             if self.detector.update(estimate.contact):
                 self.mode = Mode.FORCE_CONTROL
-                self.switch_time = self._elapsed
                 ctrl.reset()
             else:
                 self.duty = min(
@@ -114,5 +112,4 @@ class Supervisor:
                 )
         if self.mode is Mode.FORCE_CONTROL:
             self.duty = ctrl.step(self.target_force, estimate.contact, self.duty)
-        self._elapsed += dt
         return self.duty

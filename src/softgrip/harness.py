@@ -46,7 +46,7 @@ from .config import Config
 from .control import Mode, PiController, Supervisor
 from .errors import OutOfRangeError, SoftgripError
 from .estimation import ContactDetector, contact_force, internal_force
-from .plant import FingerPlant, ObjectModel, shake_test
+from .plant import MAX_DUTY, FingerPlant, ObjectModel, shake_test
 from .seeding import derive_seed
 
 TRACE_HEADER = ("t", "duty", "pressure_kpa", "angle_deg", "f_m", "f_i_pred", "f_c_est", "f_c_true", "mode")
@@ -146,16 +146,13 @@ def compute_step_metrics(
         raise ValueError("empty segment")
     lo, hi = target * (1.0 - band), target * (1.0 + band)
     from_below = trace.f_c_true[idx[0]] <= target
-    settle_at = None
-    in_band_from = None
+    settle_at = None  # the first tick of the in-band stretch that reaches the segment end
     for i in idx:
         if lo <= trace.f_c_true[i] <= hi:
-            if in_band_from is None:
-                in_band_from = i
+            if settle_at is None:
+                settle_at = i
         else:
-            in_band_from = None
-    if in_band_from is not None:
-        settle_at = in_band_from
+            settle_at = None
     if settle_at is None:
         values = [trace.f_c_true[i] for i in idx]
         rms = _rms([trace.f_c_est[i] - target for i in idx])
@@ -478,9 +475,6 @@ class CalibrationResult:
     sample_sets: list  # list[Sample] per finger
     traces: list  # Trace per finger, or None per finger when not recorded
 
-    def models(self) -> list:
-        return [r.selected() for r in self.reports]
-
 
 def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = False) -> tuple:
     """One finger's staircase ramp cycles; returns (samples, trace), the
@@ -489,7 +483,7 @@ def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = Fal
     dt = cfg.controller.period
     plant_obj = _build_plant(cfg, finger, derive_seed(seed, "calibration", finger, "plant"))
     level_rng = random.Random(derive_seed(seed, "calibration", finger, "levels"))
-    peak_duty = min(100.0, cal.peak_pressure / cfg.plant.k_duty)
+    peak_duty = min(MAX_DUTY, cal.peak_pressure / cfg.plant.k_duty)
     base_levels = [peak_duty * k / cal.levels for k in range(1, cal.levels + 1)]
     hold_ticks = max(1, int(round(cal.hold_s / dt)))
     rest_ticks = max(1, int(round(cal.rest_s / dt)))
@@ -497,7 +491,7 @@ def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = Fal
     sample_ticks = set()  # ticks whose reading ends a dwell and becomes a sample
     for _ in range(cal.cycles):
         jittered = [
-            min(100.0, max(1.0, lv + level_rng.uniform(-cal.level_jitter, cal.level_jitter)))
+            min(MAX_DUTY, max(1.0, lv + level_rng.uniform(-cal.level_jitter, cal.level_jitter)))
             for lv in base_levels
         ]
         for duty in jittered + jittered[-2::-1]:  # up to the peak, back down
@@ -546,7 +540,7 @@ def run_calibration_experiment(
 
 def calibrate_models(cfg: Config, seed: int | None = None) -> list:
     """Fitted per-finger models (the artifact every other experiment needs)."""
-    return run_calibration_experiment(cfg, seed).models()
+    return [r.selected() for r in run_calibration_experiment(cfg, seed).reports]
 
 
 def _master_and_models(cfg: Config, seed: int | None, models) -> tuple:
@@ -611,10 +605,10 @@ def _estimation_rows(cfg: Config, model: PolynomialModel, cells: list) -> list:
         alive = lanes.alive
         pressing = alive & ~pressed
         reached = pressing & (lanes.contact_force >= est.target)
-        at_max = pressing & ~reached & (lanes.duty >= 100.0)
+        at_max = pressing & ~reached & (lanes.duty >= MAX_DUTY)
         ramp = lanes.duty + est.ramp_rate * dt
         ramping = pressing & ~reached & ~at_max
-        lanes.duty = np.where(ramping, np.where(ramp < 100.0, ramp, 100.0), lanes.duty)
+        lanes.duty = np.where(ramping, np.where(ramp < MAX_DUTY, ramp, MAX_DUTY), lanes.duty)
         measuring = alive & pressed & (i > pressed_at + settle_ticks)
         pressed_at[reached] = i
         pressed[reached] = True
@@ -720,19 +714,13 @@ def run_switching_experiment(cfg: Config, seed: int | None = None, models=None) 
             return supervisor.step(ctrl, estimate, dt)
 
         simulate(cfg, [Lane(plant_obj, model, obj, 0.0, supervise, record)], int(round(sw.duration_s / dt)))
-        if supervisor.switch_time is None:
-            metrics = compute_step_metrics(trace, sw.target, 0.0, sw.duration_s)
-            results.append(SwitchingResult(trace, metrics, None, None))
-            continue
-        t_switch = supervisor.switch_time
-        metrics = compute_step_metrics(trace, sw.target, t_switch, sw.duration_s)
+        # the switch tick's k * dt, read off its row (the first in force control);
+        # a run that never switches is measured whole
+        t_switch = next((t for t, m in zip(trace.t, trace.mode) if m == Mode.FORCE_CONTROL.value), None)
+        metrics = compute_step_metrics(trace, sw.target, t_switch or 0.0, sw.duration_s)
         duty_band = None
-        if metrics.settled:
-            post = [
-                trace.duty[i]
-                for i in range(len(trace))
-                if trace.t[i] >= t_switch + metrics.settling_time
-            ]
+        if t_switch is not None and metrics.settled:
+            post = [d for t, d in zip(trace.t, trace.duty) if t >= t_switch + metrics.settling_time]
             duty_band = (min(post), max(post))
         results.append(SwitchingResult(trace, metrics, t_switch, duty_band))
     return results

@@ -31,6 +31,7 @@ DEFAULT_FINGER_STIFFNESS = 0.028  # N/deg
 DEFAULT_NOISE_SIGMA = 0.02  # N
 DEFAULT_ANGLE_NOISE_SIGMA = 0.05  # deg
 DEFAULT_FILTER_ALPHA = 0.95
+MAX_DUTY = 100.0  # duty-%, the PWM ceiling
 
 # Ground-truth internal-force quartic (N vs deg), monotone over the working
 # range with the quartic term dominant at large angles.

@@ -5,7 +5,8 @@ Covers:
   extended-precision normal-equations oracle
 - BIC closed form, the +ln(n) penalty step, and the zero-RSS variance floor
 - degree selection: penalty tie-breaking, noisy-quartic selection over seeds,
-  permutation invariance, R^2 of the selected model
+  permutation invariance, R^2 of the selected model, and per-degree records
+  equal to ``bic_score`` / ``r_squared`` of each fit
 - OLS invariants: residual orthogonality (column-normalized), nested-RSS
   monotonicity, small-instance oracle equivalence
 - CSV/JSON round trips and parse errors with line numbers
@@ -190,6 +191,22 @@ def test_select_monotone_force_data_high_r2():
     report = select_model(samples, max_degree=6)
     selected = next(r for r in report.records if r.degree == report.selected_degree)
     assert selected.r_squared >= 0.95
+
+
+def test_select_records_equal_the_scores_of_each_fit():
+    # select_model takes one residual pass per degree; its records must be
+    # the scores bic_score and r_squared give each fitted model, bit for bit
+    rng = random.Random(5)
+    angles = [120.0 * k / 59 for k in range(60)]
+    samples = poly_samples((0.02, 5e-4, 5e-6, 5e-8, 1e-8), angles, noise=0.02, rng=rng)
+    report = select_model(samples, max_degree=6)
+    for rec in report.records:
+        model = PolynomialModel(rec.degree, rec.weights)
+        rss = residual_sum_of_squares(model, samples)
+        assert rec.rss.hex() == rss.hex()
+        assert rec.sigma2_hat.hex() == max(rss / len(samples), SIGMA2_FLOOR).hex()
+        assert rec.bic.hex() == bic_score(model, samples).hex()
+        assert rec.r_squared.hex() == r_squared(model, samples).hex()
 
 
 def test_select_requires_enough_samples():

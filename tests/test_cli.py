@@ -4,7 +4,8 @@ Covers:
 - exit codes: 0 success, 1 runtime failure, 2 usage/config errors
 - a grasp that bends past the calibrated range names its object,
   set-point and trial
-- a switch run whose tracking error squares past the float range exits 0
+- a switch run whose tracking error squares past the float range exits 0,
+  as does one whose contact comes on its last tick
 - the exact key sets of every JSON output
 - validate: normalized dump with defaults, per-field diagnostics
 - outputs land only under --out; manifest written alongside
@@ -32,6 +33,10 @@ FAST_CONFIG = {
     "grasp": {"setpoints": [1.0, 3.0], "n_trials": 2, "duration_s": 5.0},
     "hardness": {"duration_s": 6.0},
 }
+
+FAILURE_DRAWS = (
+    "deform_threshold", "deform_spread", "break_threshold", "break_spread", "hold_requirement", "hold_spread",
+)
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -129,6 +134,12 @@ def test_validate_unknown_key_exit_2(tmp_path, capsys):
             [],
             "grasp.objects.eggshell.deform_threshold",
         ),
+    ]
+    + [
+        # only grasp objects draw failures; the step and switching objects have no such keys
+        ({f"{obj}.{name}": 1.0}, [], f"unknown config key: {obj}.{name}")
+        for obj in ("step.object", "switching.object")
+        for name in FAILURE_DRAWS
     ],
 )
 def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args, field):
@@ -167,6 +178,16 @@ def test_run_switch_huge_target_exit_0(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     runs = json.loads((tmp_path / "o" / "switch_metrics.json").read_text())["runs"]
     assert [r["rms_error_post_settle"] for r in runs] == [pytest.approx(1e308)] * 2
+
+
+def test_run_switch_contact_on_the_last_tick_exit_0(tmp_path, capsys):
+    # contact comes on tick 64 of 65; the metric segment starts at that row
+    path = write_config(tmp_path, {"switching.n_seeds": 1, "switching.duration_s": 1.0766666666666667})
+    rc = main(["run", "switch", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "0"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    (run,) = json.loads((tmp_path / "o" / "switch_metrics.json").read_text())["runs"]
+    assert run["switch_time"] == 64 * (1.0 / 60.0)
 
 
 def test_run_rejects_invalid_config(tmp_path, capsys):
@@ -289,7 +310,8 @@ def test_run_hardness_classification_schema(tmp_path):
 def test_softgrip_log_env_var_controls_stderr(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    env = dict(os.environ, SOFTGRIP_LOG="INFO")
+    # the child imports softgrip from where this process does
+    env = dict(os.environ, SOFTGRIP_LOG="INFO", PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-m", "softgrip.cli", "run", "hardness",
          "--config", str(cfg), "--out", str(out)],

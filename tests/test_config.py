@@ -4,6 +4,8 @@ Covers:
 - every float leaf of the default tree, the objects of the grasp table
   included, is named by ``validate`` when set to NaN or +/-inf; only the
   failure thresholds admit +inf
+- the step and switching objects carry no failure draws: a config that
+  sets one is refused at load, naming the key
 - each problem names one field, for the fields that once shared a message
 - the rules that span fields
 - integer fields: an integral float loads as an int, any other value is a
@@ -12,6 +14,7 @@ Covers:
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -19,6 +22,9 @@ from softgrip.config import config_from_dict, default_config, validate
 from softgrip.errors import ConfigError
 
 FAILURE_THRESHOLDS = ("deform_threshold", "break_threshold")
+FAILURE_DRAWS = FAILURE_THRESHOLDS + ("deform_spread", "break_spread", "hold_requirement", "hold_spread")
+# only grasp objects draw failures; these keys were once leaves too
+NOT_LEAVES = [f"{obj}.{name}" for obj in ("step.object", "switching.object") for name in FAILURE_DRAWS]
 
 
 def float_leaves(node, path=""):
@@ -45,10 +51,18 @@ def with_value(path: str, value):
     return cfg
 
 
+def nested(path: str, value) -> dict:
+    """The JSON config object that sets only the field at dotted ``path``."""
+    data = value
+    for part in reversed(path.split(".")):
+        data = {part: data}
+    return data
+
+
 LEAVES = list(float_leaves(default_config()))
 NON_FINITE = [
     pytest.param(path, value, id=f"{path}={value}")
-    for path in LEAVES
+    for path in LEAVES + NOT_LEAVES
     for value in (math.nan, math.inf, -math.inf)
     if not (value == math.inf and path.rsplit(".", 1)[1] in FAILURE_THRESHOLDS)
 ]
@@ -56,10 +70,11 @@ NON_FINITE = [
 
 def test_leaf_walk_reaches_every_object():
     assert "controller.kp" in LEAVES
-    objects = ["step.object", "switching.object"]
-    objects += [f"grasp.objects.{name}" for name in default_config().grasp.objects]
-    for obj in objects:
-        assert f"{obj}.deform_threshold" in LEAVES
+    for obj in ("step.object", "switching.object"):
+        assert f"{obj}.stiffness" in LEAVES
+    for name in default_config().grasp.objects:
+        assert f"grasp.objects.{name}.deform_threshold" in LEAVES
+    assert not set(NOT_LEAVES) & set(LEAVES)
 
 
 def test_default_config_validates():
@@ -68,6 +83,10 @@ def test_default_config_validates():
 
 @pytest.mark.parametrize("path, value", NON_FINITE)
 def test_non_finite_float_leaf_is_named(path, value):
+    if path in NOT_LEAVES:
+        with pytest.raises(ConfigError, match=f"^unknown config key: {re.escape(path)}$"):
+            config_from_dict(nested(path, value))
+        return
     problems = validate(with_value(path, value))
     assert any(p.startswith(path + ":") for p in problems), problems
 

@@ -177,7 +177,6 @@ def test_supervisor_switches_once_with_reset_and_carryover():
     duty_before = sup.duty
     duty = sup.step(ctrl, ContactEstimate(0.5, 0.0), dt)  # contact!
     assert sup.mode is Mode.FORCE_CONTROL
-    assert sup.switch_time is not None
     # integral was reset at the switch, then one PI tick ran from the
     # carried-over duty: increment = kp*e + ki*T*e exactly
     e = 2.0 - 0.5
