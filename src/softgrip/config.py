@@ -47,6 +47,7 @@ _NON_NEGATIVE = _Bound("must be >= 0", lambda v: v >= 0)
 _UNIT = _Bound("must be in [0, 1]", lambda v: 0 <= v <= 1)
 _UNIT_OPEN_BELOW = _Bound("must be in (0, 1]", lambda v: 0 < v <= 1)
 _AT_LEAST_ONE = _Bound("must be >= 1", lambda v: v >= 1)
+_DUTY = _Bound(f"must be <= {plant.MAX_DUTY:g} (the PWM duty ceiling)", lambda v: v <= plant.MAX_DUTY)
 # a failure threshold of inf means the object never deforms or breaks
 _THRESHOLD = _Bound("must be > 0", lambda v: v > 0, admits_inf=True)
 # runs count round(span / period) ticks: 0 ticks leaves a window empty and
@@ -89,7 +90,7 @@ class ControllerConfig:
     ki: float = control.DEFAULT_KI
     period: float = _bounded(control.DEFAULT_PERIOD, _POSITIVE)
     output_min: float = 0.0
-    output_max: float = plant.MAX_DUTY
+    output_max: float = _bounded(plant.MAX_DUTY, _DUTY)
 
 
 @dataclass
@@ -208,7 +209,7 @@ class HardnessConfig:
     stiff_stiffness: float = _bounded(0.5, _POSITIVE)
     soft_stiffness: float = _bounded(0.03, _POSITIVE)
     ramp_rate: float = 15.0
-    max_duty: float = plant.MAX_DUTY
+    max_duty: float = _bounded(plant.MAX_DUTY, _DUTY)
     duration_s: float = _bounded(8.0, _ONE_TICK)
     min_contact_force: float = 0.25
     slope_threshold: float = _bounded(10.0, _POSITIVE)  # deg/N separating stiff from soft

@@ -15,17 +15,19 @@ Two tick kernels step the fingers, and give the same bits:
   in batches of at most ``BATCH_LANES``.  The grasp sweep (540 lanes of 600
   ticks at the default config) and the estimation sweep (100 lanes that
   end early) use it.  Each lane still reads its sensors through its own
-  ``FingerPlant.sense``, which draws the lane's noise.
+  ``FingerPlant.sense``, which adds the lane's noise; the grasp lanes that
+  share a plant seed read one noise stream.
 
-Each wins where it is used.  On a 2-CPU VM (Python 3.11, numpy 2.4) the
-default grasp sweep took 0.26 s batched against 0.88-0.97 s scalar, and the
-estimation sweep 0.073 s against 0.167 s.  Six lanes of 7,200 ticks under a
-fixed duty schedule took 0.17-0.18 s batched against 0.13 s scalar:
-per-tick numpy calls cost more than a few lanes' Python calls.  Most of the
-batched time is the per-lane ``FingerPlant.sense`` calls and their
-``random.gauss`` draws, which keep every noise stream as it was.
-``tests/test_batch.py`` checks the batch against the scalar kernel;
-``BENCH_6.json`` holds the benchmark's before/after record.
+Each wins where it is used.  On a 2-CPU VM (Python 3.11, numpy 2.4; medians
+of 5 in-process runs) the default grasp sweep took 0.17 s batched against
+0.76 s scalar, and the estimation sweep 0.066 s against 0.13 s.  Six
+free-space lanes of 7,200 ticks under a fixed duty schedule took 0.17 s
+batched against 0.04 s scalar: per-tick numpy calls cost more than a few
+lanes' Python calls.  Most of the batched time is still the per-lane
+``FingerPlant.sense`` calls, though their noise now comes in blocks
+(``plant.GaussStream``).  ``tests/test_batch.py`` checks the batch against
+the scalar kernel; ``BENCH_6.json`` and ``BENCH_8.json`` hold the
+benchmark's before/after records.
 """
 
 from __future__ import annotations
@@ -260,11 +262,11 @@ def _trace_row(trace: Trace, plant_obj: FingerPlant, t, duty, reading, estimate,
 # The batched tick kernel
 
 # Lanes per batch.  Wider batches spread each numpy call over more lanes, but
-# every lane keeps its FingerPlant (noise stream and sensor filter, about
-# 4 kB) until its batch ends, so the sweeps run in batches of at most this
-# many and memory stays flat as they grow.  The default grasp sweep (540
-# lanes) took 0.50, 0.35, 0.28, 0.27 and 0.24 s in batches of 45, 90, 180, 270
-# and 540 lanes (2-CPU VM, Python 3.11, numpy 2.4).
+# every lane keeps its FingerPlant (sensor filter, and a noise stream of
+# about 7 kB unless it shares one) until its batch ends, so the sweeps run in
+# batches of at most this many and memory stays flat as they grow.  The
+# default grasp sweep (540 lanes) took 0.45, 0.27, 0.20, 0.18 and 0.15 s in
+# batches of 45, 90, 180, 270 and 540 lanes (2-CPU VM, Python 3.11, numpy 2.4).
 BATCH_LANES = 270
 
 
@@ -755,8 +757,10 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
     Finger targets are (F/2, F/2, F) so the paired fingers balance the
     opposable one exactly.  Failure thresholds draw from a trial RNG keyed by
     (master, object, trial) -- deliberately not by set-point, so sweeps share
-    draws across force levels (common random numbers).  A failing trial
-    raises, the first in the order given, as a trial-by-trial loop would.
+    draws across force levels (common random numbers).  So do the plants'
+    noise seeds, and the lanes of one seed, which step in lockstep, read one
+    ``GaussStream``.  A failing trial raises, the first in the order given,
+    as a trial-by-trial loop would.
     """
     if not trials:
         return []
@@ -778,10 +782,12 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
         thresholds.append((deform_thr, break_thr))
         targets += [setpoint / 2.0, setpoint / 2.0, setpoint]
     fingers = [(name, trial, f) for name, _, trial in trials for f in range(3)]
-    plants = [
-        _build_plant(cfg, f, derive_seed(master, "grasp", name, trial, "plant", f))
-        for name, trial, f in fingers
-    ]
+    plants, streams = [], {}
+    for name, trial, f in fingers:
+        seed = derive_seed(master, "grasp", name, trial, "plant", f)
+        plant_obj = _build_plant(cfg, f, seed)
+        plant_obj.noise = streams.setdefault(seed, plant_obj.noise)
+        plants.append(plant_obj)
     lane_objs = [objs[name] for name, _, _ in fingers]
     lanes = Lanes(cfg, plants, list(models) * len(trials), lane_objs, group=np.arange(len(fingers)) // 3)
     dt = cfg.controller.period

@@ -9,14 +9,19 @@ contact force, with Gaussian noise and a first-order digital low-pass
 
 All randomness comes from a per-plant ``random.Random`` seeded at
 construction, so identical seed + command sequence reproduces traces
-bit-exactly.
+bit-exactly.  The sensor noise is drawn from it in blocks (``GaussStream``)
+whose values are, bit for bit, those ``rng.gauss`` calls in sense order
+would give.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from .calibration import PolynomialModel
 
@@ -32,6 +37,10 @@ DEFAULT_NOISE_SIGMA = 0.02  # N
 DEFAULT_ANGLE_NOISE_SIGMA = 0.05  # deg
 DEFAULT_FILTER_ALPHA = 0.95
 MAX_DUTY = 100.0  # duty-%, the PWM ceiling
+
+# Gaussian noise values per GaussStream block (4 kB): 256 senses with both
+# noise channels on.
+NOISE_BLOCK = 512
 
 # Ground-truth internal-force quartic (N vs deg), monotone over the working
 # range with the quartic term dominant at large angles.
@@ -67,6 +76,59 @@ class ObjectModel:
             raise ValueError("failure thresholds must be > 0")
         if self.hold_requirement < 0.0:
             raise ValueError("hold_requirement must be >= 0")
+
+
+class GaussStream:
+    """The values ``rng.gauss(0.0, 1.0)`` would return, in order, drawn a
+    block at a time.
+
+    ``random.gauss`` takes two ``random()`` doubles, u1 and u2, per
+    Box-Muller pair and returns cos(2 pi u1) * sqrt(-2 log(1 - u2)), then
+    the sine twin.  A block takes its doubles from one ``getrandbits`` call
+    instead: its little-endian 32-bit words are those ``random()`` consumes,
+    two per double, in the same order.  The products and square roots are
+    IEEE-exact in numpy; log, cos and sin are the libm calls ``math`` makes,
+    since numpy's own differ from libm in the last bit on some inputs.
+
+    The stream keeps only its current block.  Each reader (a plant) holds
+    the block it reads and its own place in it, so plants that share a
+    stream, stepping in lockstep on equal seeds, each read every value in
+    turn; a reader that asks for a block the stream has already left
+    behind gets an error, never another place's values.
+    """
+
+    __slots__ = ("rng", "block", "start")
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.block = array("d")
+        self.start = 0  # stream index of block[0]
+
+    def block_at(self, index: int) -> tuple:
+        """(block, start) of the block holding stream value ``index``, drawn
+        now if ``index`` is the first value past the current block."""
+        end = self.start + len(self.block)
+        if index == end:
+            self._draw()
+        elif not self.start <= index < end:
+            raise RuntimeError(
+                f"noise value {index} read out of order: the current block is {self.start}..{end - 1}"
+            )
+        return self.block, self.start
+
+    def _draw(self) -> None:
+        n = NOISE_BLOCK
+        m = n // 2
+        words = np.frombuffer(self.rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+        u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+        x2pi = (u[0::2] * (2.0 * math.pi)).tolist()
+        g2rad = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[1::2]).tolist()), float, m))
+        z = np.empty((m, 2))  # each pair's cosine value, then its sine value
+        z[:, 0] = np.fromiter(map(math.cos, x2pi), float, m)
+        z[:, 1] = np.fromiter(map(math.sin, x2pi), float, m)
+        z *= g2rad[:, None]
+        self.start += len(self.block)
+        self.block = array("d", z.tobytes())
 
 
 @dataclass(slots=True)
@@ -108,12 +170,21 @@ class FingerPlant:
         self.noise_sigma = noise_sigma
         self.angle_noise_sigma = angle_noise_sigma
         self.filter_alpha = filter_alpha
-        self.rng = random.Random(seed)  # the noise stream, drawn in sense order
+        self.noise = GaussStream(random.Random(seed))  # drawn in sense order
+        # The noise block this plant reads, its index in the stream, and this
+        # plant's next value in it: at first, past the end of a block before
+        # the stream's first.
+        self._block, self._start, self._k = array("d"), -NOISE_BLOCK, NOISE_BLOCK
         self.pressure = 0.0  # kPa
         self.angle = 0.0  # deg
         self.contact_force = 0.0  # N, true force against the object
         self._filter_state: float | None = None
         self._stepped = False
+
+    @property
+    def rng(self) -> random.Random:
+        """The generator the sensor noise is drawn from."""
+        return self.noise.rng
 
     def step(self, duty: float, dt: float, obj: ObjectModel | None = None) -> None:
         """Advance the plant one tick under the given duty cycle (%).
@@ -154,20 +225,40 @@ class FingerPlant:
         harness's lockstep batch) passes the true ``angle`` and the
         noiseless ``force`` = internal(angle) + contact instead; the noise
         and the filter are this plant's either way.
+
+        Each channel with a positive sigma adds the next value of ``noise``
+        times its sigma, force first, as ``rng.gauss(0.0, sigma)`` would.
         """
         if angle is None:
             if not self._stepped:
                 raise RuntimeError("sense() before the first step()")
             angle = self.angle
             force = self.internal_model.predict(angle) + self.contact_force
-        if self.noise_sigma > 0.0:
-            force += self.rng.gauss(0.0, self.noise_sigma)
+        values, k = self._block, self._k
+        sigma = self.noise_sigma
+        if sigma > 0.0:
+            if k == NOISE_BLOCK:
+                values, k = self._next_block()
+            # rng.gauss adds 0.0 first, which turns -0.0 into 0.0; the floor
+            # below reads either sum as 0.0, so the force skips it
+            force += values[k] * sigma
+            k += 1
         raw = force if force > 0.0 else 0.0  # max(0.0, force), NaN included, without a call
         state = self._filter_state
-        self._filter_state = raw if state is None else state + self.filter_alpha * (raw - state)
-        if self.angle_noise_sigma > 0.0:
-            angle += self.rng.gauss(0.0, self.angle_noise_sigma)
-        return SensorReadings(angle, self._filter_state)
+        self._filter_state = raw = raw if state is None else state + self.filter_alpha * (raw - state)
+        sigma = self.angle_noise_sigma
+        if sigma > 0.0:
+            if k == NOISE_BLOCK:
+                values, k = self._next_block()
+            angle += 0.0 + values[k] * sigma
+            k += 1
+        self._k = k
+        return SensorReadings(angle, raw)
+
+    def _next_block(self) -> tuple:
+        """Move on to the stream's block after this plant's: (block, 0)."""
+        self._block, self._start = self.noise.block_at(self._start + NOISE_BLOCK)
+        return self._block, 0
 
 
 def shake_test(total_grip_force: float, obj: ObjectModel, rng: random.Random) -> bool:

@@ -14,6 +14,11 @@ flag "unreachable" or bend out of range.  Pinned configs check sweeps
 split into smaller batches, and empty sweeps.  Sizes stay small (a cheap
 calibration, at most 8 grasp trials of at most 2 s) so the file runs in
 seconds.
+
+The batch keeps the scalar path's sensing contract: one
+``FingerPlant.sense`` call per live lane-tick, and grasp lanes that share
+a plant seed (one object, trial and finger at other set-points) read one
+noise stream, which refuses a read out of order.
 """
 
 import contextlib
@@ -30,7 +35,7 @@ from softgrip.calibration import PolynomialModel
 from softgrip.config import config_from_dict, validate
 from softgrip.errors import NonFiniteError, OutOfRangeError, SoftgripError
 from softgrip.harness import GraspOutcome, EstimationRow, Lane, simulate
-from softgrip.plant import ObjectModel
+from softgrip.plant import NOISE_BLOCK, FingerPlant, ObjectModel
 
 # ---------------------------------------------------------------------------
 # Oracles: the scalar bodies the batch replaced
@@ -415,3 +420,99 @@ def test_empty_sweeps_return_nothing(jobs):
     assert harness.run_grasp_sweep(cfg, None, jobs, models).rows == []
     cfg.estimation.positions = []
     assert harness.run_estimation_accuracy(cfg, None, models) == []
+
+
+# ---------------------------------------------------------------------------
+# Sensing: one sense call per live lane-tick, one noise stream per plant seed
+
+# noisy plants, a repeated set-point, and estimation cells that end at different ticks
+SHARED = {
+    "seed": 11,
+    "calibration": {"cycles": 1, "levels": 7, "hold_s": 0.1, "rest_s": 0.1},
+    "grasp": {
+        "setpoints": [1.0, 2.5, 1.0],
+        "n_trials": 2,
+        "duration_s": 1.5,
+        "objects": {"eggshell": {}, "paper_cup": {}},
+    },
+    "estimation": {"n_seeds": 2, "positions": [20.0, 60.0, 110.0], "timeout_s": 3.0, "ramp_rate": 60.0},
+}
+
+
+def counted_senses(monkeypatch) -> list:
+    """Patch ``FingerPlant.sense`` to count its calls into the returned one-item list."""
+    calls = [0]
+    real = FingerPlant.sense
+
+    def sense(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(FingerPlant, "sense", sense)
+    return calls
+
+
+def test_one_sense_call_per_live_lane_tick(monkeypatch):
+    cfg = build(SHARED)
+    models = fitted_models(cfg, None, False)
+    calls = counted_senses(monkeypatch)
+    trials = grasp_trials(cfg)
+    outcomes, error, _ = run(harness._grasp_outcomes, cfg, cfg.seed, models, trials)
+    assert error is None and len(outcomes) == len(trials) == 12
+    # every grasp lane lives for the whole run
+    assert calls[0] == 3 * len(trials) * int(round(cfg.grasp.duration_s / cfg.controller.period))
+    # each scalar tick is one sense call, so the oracle counts the live lane-ticks
+    calls[0] = 0
+    rows, error, _ = run(harness.run_estimation_accuracy, cfg, cfg.seed, models)
+    batched = calls[0]
+    calls[0] = 0
+    assert (rows, error) == run(oracle_estimation_rows, cfg, cfg.seed, models)[:2]
+    assert batched == calls[0] > 0
+    assert len({r[-1] for r in rows}) > 1  # the cells end in different ways, at different ticks
+
+
+def test_grasp_lanes_of_one_plant_seed_share_one_stream(monkeypatch):
+    cfg = build(SHARED)
+    models = fitted_models(cfg, None, False)
+    batches = []
+    real = harness.simulate_lanes
+
+    def spy(cfg, lanes, *args):
+        batches.append(lanes.plants)
+        return real(cfg, lanes, *args)
+
+    monkeypatch.setattr(harness, "simulate_lanes", spy)
+    trials = grasp_trials(cfg)
+    assert assert_grasps_match(cfg, models)[1] is None  # the outcomes are the unshared oracle's
+    (plants,) = batches
+    seeds = [
+        harness.derive_seed(cfg.seed, "grasp", name, trial, "plant", f)
+        for name, _, trial in trials
+        for f in range(3)
+    ]
+    streams_of = {}
+    for seed, plant in zip(seeds, plants):
+        streams_of.setdefault(seed, set()).add(id(plant.noise))
+    assert all(len(streams) == 1 for streams in streams_of.values())
+    # three set-points share each seed, and the streams in use are one per seed
+    assert len({id(p.noise) for p in plants}) == len(streams_of) == len(plants) // 3
+
+
+def test_a_shared_stream_read_out_of_order_raises():
+    cfg = build(SHARED)
+    ahead, behind, alone = (harness._build_plant(cfg, 0, 5) for _ in range(3))
+    behind.noise = ahead.noise
+
+    def reading(plant):
+        r = plant.sense(10.0, 1.0)
+        return r.angle_meas.hex(), r.force_meas.hex()
+
+    for _ in range(300):  # in lockstep, two values per sense: into the stream's second block
+        assert reading(ahead) == reading(behind) == reading(alone)
+    for _ in range(NOISE_BLOCK):  # two blocks further on
+        reading(ahead)
+    # the behind plant still reads the block it holds, then the stream has left it behind
+    for _ in range(NOISE_BLOCK - 300):
+        assert reading(behind) == reading(alone)
+    with pytest.raises(RuntimeError, match="out of order"):
+        behind.sense(10.0, 1.0)

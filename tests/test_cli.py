@@ -140,6 +140,11 @@ def test_validate_unknown_key_exit_2(tmp_path, capsys):
         ({f"{obj}.{name}": 1.0}, [], f"unknown config key: {obj}.{name}")
         for obj in ("step.object", "switching.object")
         for name in FAILURE_DRAWS
+    ]
+    + [
+        # the PWM duty ceiling, plant.MAX_DUTY
+        ({"controller.output_max": 400.0}, [], "controller.output_max"),
+        ({"hardness.max_duty": 400.0}, [], "hardness.max_duty"),
     ],
 )
 def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args, field):

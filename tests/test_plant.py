@@ -5,7 +5,7 @@ Covers:
 - the contact compliance split: continuity at onset, stiffness ordering,
   pinned angle against rigid objects
 - sensing: superposition with noise off, filter warm-up exactness, the FSR
-  zero floor
+  zero floor, and the block-drawn noise against ``rng.gauss`` bit for bit
 - determinism (bit-identical traces for equal seeds) and the explicit-Euler
   dt precondition
 - shake_test against the Normal-CDF oracle
@@ -15,16 +15,21 @@ Covers:
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from softgrip.calibration import PolynomialModel, Sample, fit_polynomial
 from softgrip.config import default_config
 from softgrip.harness import _build_plant
 from softgrip.plant import (
     DEFAULT_INTERNAL_WEIGHTS,
+    NOISE_BLOCK,
     FingerPlant,
+    GaussStream,
     ObjectModel,
     shake_test,
 )
@@ -172,6 +177,83 @@ def test_sense_of_a_given_state_matches_the_plant_state():
         force = own.internal_model.predict(own.angle) + own.contact_force
         a, b = own.sense(), fed.sense(own.angle, force)
         assert (a.angle_meas.hex(), a.force_meas.hex()) == (b.angle_meas.hex(), b.force_meas.hex())
+
+
+class GaussSensor:
+    """``FingerPlant.sense``'s noise and filter as drawn one ``rng.gauss``
+    call per noisy channel: the reference the block draw must equal."""
+
+    def __init__(self, plant: FingerPlant, seed: int):
+        self.plant, self.rng, self.state = plant, random.Random(seed), None
+
+    def sense(self, angle: float, force: float) -> tuple:
+        p = self.plant
+        if p.noise_sigma > 0.0:
+            force += self.rng.gauss(0.0, p.noise_sigma)
+        raw = force if force > 0.0 else 0.0
+        self.state = raw if self.state is None else self.state + p.filter_alpha * (raw - self.state)
+        if p.angle_noise_sigma > 0.0:
+            angle += self.rng.gauss(0.0, p.angle_noise_sigma)
+        return angle.hex(), self.state.hex()
+
+
+MAX_FLOAT = 1.7976931348623157e308
+# 5e-324 noise rounds to -0.0, which rng.gauss turns into 0.0 on a -0.0 angle
+sigmas = st.sampled_from([0.0, 5e-324, 0.02, 0.7, 1e300])
+# finite and signed inputs, the FSR floor's -0.0, and a force that 1e300 noise overflows
+inputs = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, -0.0, 12.5, 130.0, -3.0]),
+        st.sampled_from([0.0, -0.0, 0.4, 2.5, -1.0, MAX_FLOAT, -MAX_FLOAT]),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    noise_sigma=sigmas,
+    angle_noise_sigma=sigmas,
+    given_state=st.booleans(),
+    inputs=inputs,
+)
+@example(seed=1, noise_sigma=1e300, angle_noise_sigma=0.02, given_state=True, inputs=[(12.5, MAX_FLOAT)])
+@example(seed=2, noise_sigma=0.0, angle_noise_sigma=0.7, given_state=False, inputs=[(0.0, 0.0)])
+def test_block_noise_equals_rng_gauss(seed, noise_sigma, angle_noise_sigma, given_state, inputs):
+    # three blocks' worth of senses and a few more: one noisy channel or two
+    # each cross at least three block boundaries
+    plant = make_plant(seed=seed, noise_sigma=noise_sigma, angle_noise_sigma=angle_noise_sigma)
+    ref = GaussSensor(plant, seed)
+    obj = ObjectModel(position_angle=25.0, stiffness=0.3)
+    forces = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's floating-point warnings raise
+        for i in range(3 * NOISE_BLOCK + 5):
+            if given_state:
+                angle, force = inputs[i % len(inputs)]
+                reading = plant.sense(angle, force)
+            else:
+                plant.step(min(90.0, 0.2 * i), DT, obj)
+                angle = plant.angle
+                force = plant.internal_model.predict(angle) + plant.contact_force
+                reading = plant.sense()
+            expected = ref.sense(angle, force)
+            assert (reading.angle_meas.hex(), reading.force_meas.hex()) == expected
+            forces.append(expected[1])
+    if noise_sigma == 1e300 and given_state and any(f == MAX_FLOAT for _, f in inputs):
+        assert "inf" in forces  # the largest float plus positive 1e300 noise
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**70 + 3])
+def test_gauss_stream_blocks_equal_rng_gauss(seed):
+    stream, rng = GaussStream(random.Random(seed)), random.Random(seed)
+    for index in range(0, 4 * NOISE_BLOCK, NOISE_BLOCK):
+        block, start = stream.block_at(index)
+        assert start == index
+        assert [v.hex() for v in block] == [rng.gauss(0.0, 1.0).hex() for _ in range(NOISE_BLOCK)]
+    assert stream.rng.getstate() == rng.getstate()  # the same words consumed
 
 
 def test_sense_requires_step():
