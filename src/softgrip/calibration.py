@@ -244,14 +244,14 @@ def select_model(samples: list[Sample], max_degree: int = DEFAULT_MAX_DEGREE) ->
 
 
 CSV_HEADER = ("angle_deg", "force_n")
+CSV_LINE_END = "\r\n"  # the line end csv.writer writes, which these files have always had
 
 
 def save_samples(path: str | Path, samples: list[Sample]) -> None:
+    """The samples as CSV, each number as its ``repr``, in one streaming pass."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for s in samples:
-            writer.writerow([repr(s.angle), repr(s.force)])
+        fh.write(",".join(CSV_HEADER) + CSV_LINE_END)
+        fh.writelines(map(("%r,%r" + CSV_LINE_END).__mod__, ((s.angle, s.force) for s in samples)))
 
 
 def load_samples(path: str | Path) -> list[Sample]:

@@ -6,11 +6,11 @@ reproducible bit-exactly from (config, seed): all randomness flows through
 seeds derived from the master seed and stable trial labels, so parallel and
 serial execution produce identical results.
 
-Two tick kernels step the fingers, and give the same bits:
+Two tick kernels step the closed-loop experiments, and give the same bits:
 
 - ``simulate`` steps a few lanes one Python call at a time (``FingerPlant``,
-  ``contact_force``, ``Supervisor``).  Calibration, step, switch and
-  hardness use it: they are narrow, long runs that record a trace.
+  ``contact_force``, ``Supervisor``).  Step, switch and hardness use it:
+  they are narrow, long runs that record a trace.
 - ``simulate_lanes`` steps lanes in lockstep as numpy arrays (``Lanes``),
   in batches of at most ``BATCH_LANES``.  The grasp sweep (540 lanes of 600
   ticks at the default config) and the estimation sweep (100 lanes that
@@ -20,30 +20,35 @@ Two tick kernels step the fingers, and give the same bits:
 
 Each wins where it is used.  On a 2-CPU VM (Python 3.11, numpy 2.4; medians
 of 5 in-process runs) the default grasp sweep took 0.17 s batched against
-0.76 s scalar, and the estimation sweep 0.066 s against 0.13 s.  Six
-free-space lanes of 7,200 ticks under a fixed duty schedule took 0.17 s
-batched against 0.04 s scalar: per-tick numpy calls cost more than a few
+0.76 s scalar, and the estimation sweep 0.066 s against 0.13 s.  A run of
+one or two lanes would not gain: per-tick numpy calls cost more than a few
 lanes' Python calls.  Most of the batched time is still the per-lane
 ``FingerPlant.sense`` calls, though their noise now comes in blocks
 (``plant.GaussStream``).  ``tests/test_batch.py`` checks the batch against
-the scalar kernel; ``BENCH_6.json`` and ``BENCH_8.json`` hold the
-benchmark's before/after records.
+the scalar kernel.
+
+Calibration uses neither.  Its staircase ramp is open loop, so
+``calibrate_finger`` steps each ramp cycle's free-space mechanics in one
+pass and then reads the cycle's sensors, one ``FingerPlant.sense`` per tick
+in tick order; ``tests/test_open_loop_calibration.py`` checks it against the
+ramp on ``simulate``.  ``BENCH_6.json``, ``BENCH_8.json`` and
+``BENCH_9.json`` hold the benchmark's before/after records.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import calibration as calib
-from .calibration import PolynomialModel, Sample
+from .calibration import CSV_LINE_END, PolynomialModel, Sample
 from .config import Config
 from .control import Mode, PiController, Supervisor
 from .errors import OutOfRangeError, SoftgripError
@@ -52,6 +57,7 @@ from .plant import MAX_DUTY, FingerPlant, ObjectModel, shake_test
 from .seeding import derive_seed
 
 TRACE_HEADER = ("t", "duty", "pressure_kpa", "angle_deg", "f_m", "f_i_pred", "f_c_est", "f_c_true", "mode")
+_TRACE_ROW = "%r," * (len(TRACE_HEADER) - 1) + "%s" + CSV_LINE_END
 
 
 @dataclass
@@ -79,15 +85,25 @@ class Trace:
         self.f_c_true.append(f_c_true)
         self.mode.append(mode)
 
+    def extend(self, *columns) -> None:
+        """Append rows given as columns, in ``append``'s argument order."""
+        for own, column in zip(vars(self).values(), columns):
+            own.extend(column)
+
     def __len__(self):
         return len(self.t)
 
     def to_csv(self, path: str | Path) -> None:
+        """The trace as CSV: the header, then one row per tick in one streaming pass.
+
+        The numbers are written as ``repr``.  ``%s`` is safe for the mode:
+        the modes are fixed identifiers with no comma, quote or newline, so
+        ``csv.writer`` never quoted them either, and the bytes are its own.
+        """
         *numbers, modes = vars(self).values()  # the columns in TRACE_HEADER order
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_HEADER)
-            writer.writerows(zip(*(map(repr, column) for column in numbers), modes))
+            fh.write(",".join(TRACE_HEADER) + CSV_LINE_END)
+            fh.writelines(map(_TRACE_ROW.__mod__, zip(*numbers, modes)))
 
 
 @dataclass(frozen=True)
@@ -480,47 +496,76 @@ class CalibrationResult:
 
 def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = False) -> tuple:
     """One finger's staircase ramp cycles; returns (samples, trace), the
-    trace None unless ``with_trace``, the only use of the lane's estimate."""
+    trace None unless ``with_trace``.
+
+    The ramp is open loop: no reading feeds back into the duty.  So each
+    cycle's free-space mechanics are stepped first, ``FingerPlant.step``'s
+    recurrence over the whole cycle, and then its sensors are read in one
+    pass, one ``FingerPlant.sense`` per tick in tick order, so the noise and
+    the filter advance as they would in a tick loop.  Tick ``i`` reads the
+    state its duty drove; the last dwell tick of each level, and of the rest,
+    gives a sample.  The trace's estimate is ``contact_force``'s against the
+    plant's own internal model, with the arithmetic of ``Lanes``.
+    """
     cal = cfg.calibration
     dt = cfg.controller.period
     plant_obj = _build_plant(cfg, finger, derive_seed(seed, "calibration", finger, "plant"))
+    tau_p, k_duty = plant_obj.tau_p, plant_obj.k_duty
+    if dt <= 0.0 or dt > tau_p / 2.0:
+        plant_obj.step(0.0, dt)  # raises FingerPlant.step's error
     level_rng = random.Random(derive_seed(seed, "calibration", finger, "levels"))
     peak_duty = min(MAX_DUTY, cal.peak_pressure / cfg.plant.k_duty)
     base_levels = [peak_duty * k / cal.levels for k in range(1, cal.levels + 1)]
     hold_ticks = max(1, int(round(cal.hold_s / dt)))
     rest_ticks = max(1, int(round(cal.rest_s / dt)))
-    schedule = []  # duty per tick
-    sample_ticks = set()  # ticks whose reading ends a dwell and becomes a sample
-    for _ in range(cal.cycles):
-        jittered = [
-            min(MAX_DUTY, max(1.0, lv + level_rng.uniform(-cal.level_jitter, cal.level_jitter)))
-            for lv in base_levels
-        ]
-        for duty in jittered + jittered[-2::-1]:  # up to the peak, back down
-            schedule += [duty] * hold_ticks
-            sample_ticks.add(len(schedule) - 1)
-        # rest-dwell sample anchors the fit near zero bend, so later runs that
-        # start from rest stay inside the calibrated range
-        schedule += [0.0] * rest_ticks
-        sample_ticks.add(len(schedule) - 1)
-    schedule.append(None)  # ends the run after the last tick's reading
+    cycle_ticks = (2 * cal.levels - 1) * hold_ticks + rest_ticks
+    # the ticks whose readings become samples: each dwell's last
+    ends = [*range(hold_ticks - 1, cycle_ticks - rest_ticks, hold_ticks), cycle_ticks - 1]
+    true_columns = _weight_columns([plant_obj.internal_model])
+    rate = dt / tau_p
     samples: list[Sample] = []
     trace = Trace() if with_trace else None
-    t = 0.0
-
-    def staircase(i, reading, estimate):
-        nonlocal t
-        if trace is not None:
-            # before the kernel's step: the plant still holds the state
-            # schedule[i] drove, which is what this reading saw
-            _trace_row(trace, plant_obj, t, schedule[i], reading, estimate, "calibrate")
-            t += dt
-        if i in sample_ticks:
-            samples.append(Sample(reading.angle_meas, reading.force_meas))
-        return schedule[i + 1]
-
-    model = plant_obj.internal_model if with_trace else None
-    simulate(cfg, [Lane(plant_obj, model, None, schedule[0], staircase)], len(schedule) - 1)
+    pressure = t = 0.0
+    with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
+        for _ in range(cal.cycles):
+            jittered = [
+                min(MAX_DUTY, max(1.0, lv + level_rng.uniform(-cal.level_jitter, cal.level_jitter)))
+                for lv in base_levels
+            ]
+            duties = []  # duty per tick: up to the peak, back down, then rest
+            for duty in jittered + jittered[-2::-1]:
+                duties += [duty] * hold_ticks
+            # rest-dwell sample anchors the fit near zero bend, so later runs that
+            # start from rest stay inside the calibrated range
+            duties += [0.0] * rest_ticks
+            pressures = []
+            for duty in duties:
+                pressure += rate * (k_duty * duty - pressure)
+                if pressure < 0.0:
+                    pressure = 0.0
+                pressures.append(pressure)
+            theta = plant_obj.bend_gain * np.array(pressures)
+            angles = np.where(plant_obj.angle_max < theta, plant_obj.angle_max, theta)
+            forces = _horner(true_columns, angles) + 0.0  # no contact in free space
+            readings = list(map(plant_obj.sense, angles.tolist(), forces.tolist()))
+            samples += [Sample(r.angle_meas, r.force_meas) for r in map(readings.__getitem__, ends)]
+            if trace is not None:
+                times = list(accumulate(repeat(dt, cycle_ticks), initial=t))
+                t = times.pop()
+                f_m = np.array([r.force_meas for r in readings])
+                internal = _horner(true_columns, np.array([r.angle_meas for r in readings]))
+                internal = np.where(internal > 0.0, internal, 0.0)
+                trace.extend(
+                    times,
+                    duties,
+                    pressures,
+                    angles.tolist(),
+                    f_m.tolist(),
+                    internal.tolist(),
+                    (f_m - internal).tolist(),
+                    [0.0] * cycle_ticks,
+                    ["calibrate"] * cycle_ticks,
+                )
     return samples, trace
 
 
