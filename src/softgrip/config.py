@@ -89,7 +89,7 @@ class ControllerConfig:
     kp: float = control.DEFAULT_KP
     ki: float = control.DEFAULT_KI
     period: float = _bounded(control.DEFAULT_PERIOD, _POSITIVE)
-    output_min: float = 0.0
+    output_min: float = control.DEFAULT_OUTPUT_MIN
     output_max: float = _bounded(plant.MAX_DUTY, _DUTY)
 
 

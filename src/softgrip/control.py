@@ -21,6 +21,7 @@ DEFAULT_KP = 10.0  # duty-% per newton
 DEFAULT_KI = 1.5  # duty-% per newton-second
 DEFAULT_PERIOD = 1.0 / 60.0  # s (60 Hz control rate)
 DEFAULT_APPROACH_RATE = 10.0  # duty-%/s
+DEFAULT_OUTPUT_MIN = 0.0  # duty-%, the lowest duty the controller commands
 
 
 def positional_pi(kp: float, ki: float, period: float, errors: list[float]) -> float:
@@ -47,7 +48,7 @@ class PiController:
     kp: float = DEFAULT_KP
     ki: float = DEFAULT_KI
     period: float = DEFAULT_PERIOD
-    output_min: float = 0.0
+    output_min: float = DEFAULT_OUTPUT_MIN
     output_max: float = MAX_DUTY
     integral: float = 0.0
 

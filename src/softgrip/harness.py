@@ -6,39 +6,49 @@ reproducible bit-exactly from (config, seed): all randomness flows through
 seeds derived from the master seed and stable trial labels, so parallel and
 serial execution produce identical results.
 
-Two tick kernels step the closed-loop experiments, and give the same bits:
+Three tick kernels step the experiments, and give the same bits:
 
 - ``simulate`` steps a few lanes one Python call at a time (``FingerPlant``,
-  ``contact_force``, ``Supervisor``).  Step, switch and hardness use it:
-  they are narrow, long runs that record a trace.
+  ``contact_force``, a policy closure).  The hardness probe (2 open-loop
+  runs of 480 ticks at the default config) uses it, and the tests use it,
+  with a real ``PiController`` and ``Supervisor``, as the layered oracle
+  of the other two.
+- ``_closed_loop`` steps one finger under the supervisor and its PI
+  controller in plain floats, one tick per loop pass, with its state in
+  locals and its trace in column lists.  The step response (5 runs of 7,200
+  ticks) and the switching experiment (10 runs of 900) use it.
 - ``simulate_lanes`` steps lanes in lockstep as numpy arrays (``Lanes``),
   in batches of at most ``BATCH_LANES``.  The grasp sweep (540 lanes of 600
-  ticks at the default config) and the estimation sweep (100 lanes that
-  end early) use it.  Each lane still reads its sensors through its own
-  ``FingerPlant.sense``, which adds the lane's noise; the grasp lanes that
-  share a plant seed read one noise stream.
+  ticks) and the estimation sweep (100 lanes that end early) use it.
 
-Each wins where it is used.  On a 2-CPU VM (Python 3.11, numpy 2.4; medians
-of 5 in-process runs) the default grasp sweep took 0.17 s batched against
-0.76 s scalar, and the estimation sweep 0.066 s against 0.13 s.  A run of
-one or two lanes would not gain: per-tick numpy calls cost more than a few
-lanes' Python calls.  Most of the batched time is still the per-lane
-``FingerPlant.sense`` calls, though their noise now comes in blocks
-(``plant.GaussStream``).  ``tests/test_batch.py`` checks the batch against
+On every kernel each finger reads its sensors through its own
+``FingerPlant.sense``, which adds the finger's noise; the grasp lanes that
+share a plant seed read one noise stream.  Each kernel wins where it is
+used.  On a 2-CPU VM (Python 3.11, numpy 2.4; medians of 5 in-process
+runs) the default grasp sweep took 0.17 s batched against 0.76 s scalar,
+and the estimation sweep 0.066 s against 0.13 s: a run of one or two lanes
+would not gain, as per-tick numpy calls cost more than a few lanes' Python
+calls.  The step response took 0.15 s on ``_closed_loop`` against 0.41 s
+on ``simulate``, and the switching experiment 0.040 s against 0.108 s
+(medians over 5 alternating rounds of the minimum of 5 runs).  Most of the
+time left on both is the ``FingerPlant.sense`` calls, though their noise
+comes in blocks (``plant.GaussStream``).  ``tests/test_batch.py`` and
+``tests/test_closed_loop.py`` check the batch and the closed loop against
 the scalar kernel.
 
-Calibration uses neither.  Its staircase ramp is open loop, so
+Calibration uses none of them.  Its staircase ramp is open loop, so
 ``calibrate_finger`` steps each ramp cycle's free-space mechanics in one
 pass and then reads the cycle's sensors, one ``FingerPlant.sense`` per tick
 in tick order; ``tests/test_open_loop_calibration.py`` checks it against the
-ramp on ``simulate``.  ``BENCH_6.json``, ``BENCH_8.json`` and
-``BENCH_9.json`` hold the benchmark's before/after records.
+ramp on ``simulate``.  ``BENCH_6.json``, ``BENCH_8.json``, ``BENCH_9.json``
+and ``BENCH_10.json`` hold the benchmark's before/after records.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, repeat
@@ -158,28 +168,38 @@ def _rms(deviations: list) -> float:
 def compute_step_metrics(
     trace: Trace, target: float, t_start: float, t_end: float, band: float = 0.05
 ) -> StepMetrics:
-    """Derive StepMetrics from a trace segment; recomputable from the CSV."""
-    idx = [i for i in range(len(trace)) if t_start <= trace.t[i] < t_end]
-    if not idx:
+    """Derive StepMetrics from a trace segment; recomputable from the CSV.
+
+    The segment is the rows with ``t_start <= t < t_end``.  Every trace keeps
+    ``t`` in tick order, so they are one slice, found by bisection.
+    """
+    rows = _segment(trace.t, t_start, t_end)
+    true, est = trace.f_c_true[rows], trace.f_c_est[rows]
+    if not true:
         raise ValueError("empty segment")
     lo, hi = target * (1.0 - band), target * (1.0 + band)
-    from_below = trace.f_c_true[idx[0]] <= target
-    settle_at = None  # the first tick of the in-band stretch that reaches the segment end
-    for i in idx:
-        if lo <= trace.f_c_true[i] <= hi:
+    from_below = true[0] <= target
+    settle_at = None  # the first row of the in-band stretch that reaches the segment end
+    for k, force in enumerate(true):
+        if lo <= force <= hi:
             if settle_at is None:
-                settle_at = i
+                settle_at = k
         else:
             settle_at = None
     if settle_at is None:
-        values = [trace.f_c_true[i] for i in idx]
-        rms = _rms([trace.f_c_est[i] - target for i in idx])
-        return StepMetrics(target, False, None, _overshoot(values, target, from_below), rms)
-    settling_time = trace.t[settle_at] - t_start
-    values = [trace.f_c_true[i] for i in idx if i <= settle_at]
-    post = [i for i in idx if i >= settle_at]
-    rms = _rms([trace.f_c_est[i] - target for i in post])
-    return StepMetrics(target, True, settling_time, _overshoot(values, target, from_below), rms)
+        rms = _rms([e - target for e in est])
+        return StepMetrics(target, False, None, _overshoot(true, target, from_below), rms)
+    settling_time = trace.t[rows.start + settle_at] - t_start
+    rms = _rms([e - target for e in est[settle_at:]])
+    overshoot = _overshoot(true[: settle_at + 1], target, from_below)
+    return StepMetrics(target, True, settling_time, overshoot, rms)
+
+
+def _segment(t: list, t_start: float, t_end: float) -> slice:
+    """The rows of a tick-ordered ``t`` with ``t_start <= t < t_end``; the
+    bounds are numbers, not NaN."""
+    start = bisect_left(t, t_start)
+    return slice(start, bisect_left(t, t_end, start))
 
 
 def _build_plant(cfg: Config, finger: int, seed: int) -> FingerPlant:
@@ -296,6 +316,14 @@ def _raised(check: Callable, *args) -> Exception:
     raise RuntimeError(f"the batch and {check.__qualname__} disagree on {args}")
 
 
+def _angle_bounds(model: PolynomialModel, margin: float) -> tuple:
+    """The angles ``internal_force`` accepts for ``model``, as (lo, hi)."""
+    if model.angle_min is None or model.angle_max is None:
+        return -math.inf, math.inf
+    slack = margin * (model.angle_max - model.angle_min)
+    return model.angle_min - slack, model.angle_max + slack
+
+
 def _weight_columns(models: list) -> list:
     """Horner columns, highest degree first, over one model per lane.
 
@@ -340,20 +368,15 @@ class Lanes:
         self.true_columns = _weight_columns([plant.internal_model for plant in plants])
         self.fit_columns = _weight_columns(models)
         self.margin = cfg.supervisor.extrapolation_margin
-        bounds = [(-math.inf, math.inf)] * self.n  # the range internal_force checks
-        for k, m in enumerate(models):
-            if m.angle_min is not None and m.angle_max is not None:
-                slack = self.margin * (m.angle_max - m.angle_min)
-                bounds[k] = (m.angle_min - slack, m.angle_max + slack)
-        self.lo, self.hi = np.array(bounds).T
+        self.lo, self.hi = np.array([_angle_bounds(m, self.margin) for m in models]).T
         k_f = p.finger_stiffness
         self.position = np.array([o.position_angle for o in objs], dtype=float)
         self.stiffness = np.array([o.stiffness for o in objs], dtype=float)
         self.share = np.array([k_f / (k_f + o.stiffness) if o.stiffness > 0.0 else 1.0 for o in objs])
-        zeros = np.zeros(self.n)
-        self.pressure, self.angle, self.contact_force = zeros, zeros, zeros
+        # one array each, so an in-place write to one leaves the others alone
+        self.pressure, self.angle, self.contact_force = (np.zeros(self.n) for _ in range(3))
         self.force_meas, self.angle_meas = np.zeros(self.n), np.zeros(self.n)
-        self.duty, self.integral = zeros, zeros
+        self.duty, self.integral = np.zeros(self.n), np.zeros(self.n)
         self.force_mode = np.zeros(self.n, dtype=bool)
         self.alive = np.ones(self.n, dtype=bool)
         self.errors = {}  # lane -> its first error
@@ -481,6 +504,111 @@ def _supervisor_policy(cfg: Config, lanes: Lanes, targets: np.ndarray) -> Callab
         return lanes.duty
 
     return supervise
+
+
+# ---------------------------------------------------------------------------
+# The closed-loop kernel
+
+
+def _closed_loop(
+    cfg: Config,
+    plant_obj: FingerPlant,
+    model: PolynomialModel,
+    obj: ObjectModel,
+    targets: list,
+    duty: float,
+    force_mode: bool,
+) -> Trace:
+    """One finger under ``Supervisor.step`` and its ``PiController``, one
+    tick per target, in plain floats: the scalar twin of ``simulate_lanes``
+    with ``_supervisor_policy``, recording a trace.
+
+    ``force_mode`` starts the loop under the controller from ``duty``; else
+    it approaches from ``duty`` until the contact detector fires, and the
+    controller takes over that tick with its integral at zero.  The plant is
+    stepped once in free space first, by ``FingerPlant.step``, and each tick
+    reads its sensors through ``FingerPlant.sense``.  Every other operation
+    repeats the scalar one (``contact_force``, ``Supervisor.step``,
+    ``PiController.step``, ``FingerPlant.step``) in the same order, so the
+    trace is the one ``simulate`` records bit for bit, and an error is raised
+    on the tick, and with the message, that the scalar path would raise.
+    """
+    # built once, with the checks the scalar path makes when it builds them
+    detector = None if force_mode else _build_supervisor(cfg, 0.0).detector
+    ctrl = _build_controller(cfg)
+    dt = ctrl.period
+    plant_obj.step(duty, dt)  # raises FingerPlant.step's error for a bad dt
+    sense = plant_obj.sense
+    true_weights = tuple(reversed(plant_obj.internal_model.weights))
+    fit_weights = tuple(reversed(model.weights))
+    margin = cfg.supervisor.extrapolation_margin
+    angle_lo, angle_hi = _angle_bounds(model, margin)
+    kp, ki, out_lo, out_hi = ctrl.kp, ctrl.ki, ctrl.output_min, ctrl.output_max
+    approach_step = cfg.supervisor.approach_rate * dt
+    rate, k_duty = dt / plant_obj.tau_p, plant_obj.k_duty
+    bend_gain, angle_max, k_f = plant_obj.bend_gain, plant_obj.angle_max, plant_obj.finger_stiffness
+    position, stiffness = obj.position_angle, obj.stiffness
+    share = k_f / (k_f + stiffness) if stiffness > 0.0 else 1.0
+    pressure, angle, contact_true = plant_obj.pressure, plant_obj.angle, plant_obj.contact_force
+    integral = 0.0
+    switch_at = 0 if force_mode else None
+    columns = duties, pressures, angles, f_ms, internals, contacts, trues = [], [], [], [], [], [], []
+    for i, target in enumerate(targets):
+        force = 0.0
+        for w in true_weights:
+            force = force * angle + w
+        reading = sense(angle, force + contact_true)
+        angle_meas, force_meas = reading.angle_meas, reading.force_meas
+        if angle_meas < angle_lo or angle_meas > angle_hi:
+            raise _raised(internal_force, model, angle_meas, margin)
+        internal = 0.0
+        for w in fit_weights:
+            internal = internal * angle_meas + w
+        if not internal > 0.0:
+            internal = 0.0
+        contact = force_meas - internal
+        if switch_at is None:  # approach: Supervisor.step before the switch
+            if not math.isfinite(contact):
+                raise _raised(detector.update, contact)
+            if contact >= detector.threshold:
+                switch_at = i  # ctrl.reset() has nothing to clear: the integral is still 0.0
+            else:
+                duty = duty + approach_step
+                duty = duty if duty > out_lo else out_lo
+                duty = duty if duty < out_hi else out_hi
+        if switch_at is not None:  # PiController.step
+            if not (math.isfinite(target) and math.isfinite(contact) and math.isfinite(duty)):
+                raise _raised(ctrl.step, target, contact, duty)
+            error = target - contact
+            candidate = integral + error * dt
+            raw = duty + (kp * error + ki * candidate)
+            duty = raw if raw > out_lo else out_lo
+            duty = duty if duty < out_hi else out_hi
+            if not ((raw > out_hi and error > 0.0) or (raw < out_lo and error < 0.0)):
+                integral = candidate
+        # FingerPlant.step
+        pressure = pressure + rate * (k_duty * duty - pressure)
+        if pressure < 0.0:
+            pressure = 0.0
+        theta = bend_gain * pressure
+        if angle_max < theta:
+            theta = angle_max
+        if theta > position:
+            angle = position + (theta - position) * share
+            contact_true = stiffness * (angle - position)
+        else:
+            angle, contact_true = theta, 0.0
+        duties.append(duty)
+        pressures.append(pressure)
+        angles.append(angle)
+        f_ms.append(force_meas)
+        internals.append(internal)
+        contacts.append(contact)
+        trues.append(contact_true)
+    n = len(targets)
+    switch_at = n if switch_at is None else switch_at
+    modes = [Mode.APPROACH.value] * switch_at + [Mode.FORCE_CONTROL.value] * (n - switch_at)
+    return Trace([i * dt for i in range(n)], *columns, modes)
 
 
 # ---------------------------------------------------------------------------
@@ -702,25 +830,15 @@ def run_step_response(cfg: Config, seed: int | None = None, models=None) -> list
     obj = sc.object.build()
     duration = 2.0 * sc.segment_s
     dt = cfg.controller.period
+    n = int(round(duration / dt))
+    targets = [sc.first_target if i * dt < sc.segment_s else sc.second_target for i in range(n)]
     results = []
     for s in range(sc.n_seeds):
         plant_obj = _build_plant(cfg, 0, derive_seed(master, "step", s))
-        ctrl = _build_controller(cfg)
-        trace = Trace()
         duty = sc.warm_start_duty
         if duty > 0.0:
             plant_obj.pressure = cfg.plant.k_duty * duty
-
-        def pi(i, reading, estimate):
-            nonlocal duty
-            target = sc.first_target if i * dt < sc.segment_s else sc.second_target
-            duty = ctrl.step(target, estimate.contact, duty)
-            return duty
-
-        def record(i, duty, reading, estimate):
-            _trace_row(trace, plant_obj, i * dt, duty, reading, estimate, Mode.FORCE_CONTROL.value)
-
-        simulate(cfg, [Lane(plant_obj, model, obj, duty, pi, record)], int(round(duration / dt)))
+        trace = _closed_loop(cfg, plant_obj, model, obj, targets, duty, force_mode=True)
         metrics = [
             compute_step_metrics(trace, sc.first_target, 0.0, sc.segment_s),
             compute_step_metrics(trace, sc.second_target, sc.segment_s, duration),
@@ -746,28 +864,18 @@ def run_switching_experiment(cfg: Config, seed: int | None = None, models=None) 
     model = models[0]
     sw = cfg.switching
     obj = sw.object.build()
-    dt = cfg.controller.period
+    targets = [sw.target] * int(round(sw.duration_s / cfg.controller.period))
     results = []
     for s in range(sw.n_seeds):
         plant_obj = _build_plant(cfg, 0, derive_seed(master, "switching", s))
-        supervisor = _build_supervisor(cfg, sw.target)
-        ctrl = _build_controller(cfg)
-        trace = Trace()
-
-        def record(i, duty, reading, estimate):
-            _trace_row(trace, plant_obj, i * dt, duty, reading, estimate, supervisor.mode.value)
-
-        def supervise(i, reading, estimate):
-            return supervisor.step(ctrl, estimate, dt)
-
-        simulate(cfg, [Lane(plant_obj, model, obj, 0.0, supervise, record)], int(round(sw.duration_s / dt)))
+        trace = _closed_loop(cfg, plant_obj, model, obj, targets, 0.0, force_mode=False)
         # the switch tick's k * dt, read off its row (the first in force control);
         # a run that never switches is measured whole
         t_switch = next((t for t, m in zip(trace.t, trace.mode) if m == Mode.FORCE_CONTROL.value), None)
         metrics = compute_step_metrics(trace, sw.target, t_switch or 0.0, sw.duration_s)
         duty_band = None
         if t_switch is not None and metrics.settled:
-            post = [d for t, d in zip(trace.t, trace.duty) if t >= t_switch + metrics.settling_time]
+            post = trace.duty[bisect_left(trace.t, t_switch + metrics.settling_time) :]
             duty_band = (min(post), max(post))
         results.append(SwitchingResult(trace, metrics, t_switch, duty_band))
     return results

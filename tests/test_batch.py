@@ -516,3 +516,20 @@ def test_a_shared_stream_read_out_of_order_raises():
         assert reading(behind) == reading(alone)
     with pytest.raises(RuntimeError, match="out of order"):
         behind.sense(10.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Lane state: one array per quantity
+
+LANE_STATE = ("pressure", "angle", "contact_force", "force_meas", "angle_meas", "duty", "integral")
+
+
+@pytest.mark.parametrize("name", LANE_STATE)
+def test_lane_state_arrays_do_not_alias(name):
+    cfg = build(NOISELESS)
+    plants = [harness._build_plant(cfg, f, 9) for f in range(3)]
+    model = PolynomialModel(2, tuple(QUADRATIC), 0.0, 120.0)
+    lanes = harness.Lanes(cfg, plants, [model] * 3, [ObjectModel(10.0, 0.1)] * 3)
+    getattr(lanes, name)[1] += 5.0  # in place, as np.add(..., out=) or np.copyto would write
+    assert getattr(lanes, name).tolist() == [0.0, 5.0, 0.0]
+    assert all(not getattr(lanes, other).any() for other in LANE_STATE if other != name)

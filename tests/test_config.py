@@ -18,7 +18,8 @@ import re
 
 import pytest
 
-from softgrip.config import config_from_dict, default_config, validate
+from softgrip.config import config_from_dict, config_to_dict, default_config, validate
+from softgrip.control import DEFAULT_OUTPUT_MIN, PiController
 from softgrip.errors import ConfigError
 
 FAILURE_THRESHOLDS = ("deform_threshold", "break_threshold")
@@ -147,3 +148,8 @@ def test_integral_float_loads_as_int():
 def test_non_integral_count_names_the_field(value):
     with pytest.raises(ConfigError, match="calibration.cycles"):
         config_from_dict({"calibration": {"cycles": value}})
+
+
+def test_controller_and_config_share_the_lower_duty_default():
+    assert default_config().controller.output_min == PiController().output_min == DEFAULT_OUTPUT_MIN == 0.0
+    assert config_to_dict(default_config())["controller"]["output_min"] == 0.0

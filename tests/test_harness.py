@@ -317,3 +317,51 @@ def test_benchmark_wrapped_names_exist(cfg, models, monkeypatch):
     monkeypatch.setattr(harness, "contact_force", lambda *a: calls.append(1) or estimate(*a))
     probe_hardness(cfg, None, 3, models)
     assert len(calls) == round(cfg.hardness.duration_s / cfg.controller.period)
+
+
+def scan_step_metrics(trace, target, t_start, t_end, band=0.05):
+    """``compute_step_metrics`` as it was: the segment found by scanning every row."""
+    idx = [i for i in range(len(trace)) if t_start <= trace.t[i] < t_end]
+    if not idx:
+        raise ValueError("empty segment")
+    lo, hi = target * (1.0 - band), target * (1.0 + band)
+    from_below = trace.f_c_true[idx[0]] <= target
+    settle_at = None
+    for i in idx:
+        if lo <= trace.f_c_true[i] <= hi:
+            if settle_at is None:
+                settle_at = i
+        else:
+            settle_at = None
+    if settle_at is None:
+        values = [trace.f_c_true[i] for i in idx]
+        rms = harness._rms([trace.f_c_est[i] - target for i in idx])
+        return harness.StepMetrics(target, False, None, harness._overshoot(values, target, from_below), rms)
+    values = [trace.f_c_true[i] for i in idx if i <= settle_at]
+    rms = harness._rms([trace.f_c_est[i] - target for i in idx if i >= settle_at])
+    overshoot = harness._overshoot(values, target, from_below)
+    return harness.StepMetrics(target, True, trace.t[settle_at] - t_start, overshoot, rms)
+
+
+def test_step_segment_slice_equals_row_scan(cfg, models):
+    small = copy.deepcopy(cfg)
+    small.step.segment_s, small.step.n_seeds = 1.0, 1
+    small.switching.duration_s, small.switching.n_seeds = 2.0, 2
+    results = run_step_response(small, 3, models) + run_switching_experiment(small, 3, models)
+    traces = [r.trace for r in results]
+    for trace in traces:
+        t = trace.t
+        # bounds at exactly a row's time, between rows, outside the trace, and reversed
+        bounds = [(t[0], t[-1]), (t[5], t[40]), (t[5], t[5]), (t[40], t[5]), (t[-1], 99.0), (-1.0, t[0])]
+        bounds += [(t[7] + 1e-9, t[30] - 1e-9), (-1.0, 99.0), (t[12], t[13])]
+        for t_start, t_end in bounds:
+            assert t[harness._segment(t, t_start, t_end)] == [x for x in t if t_start <= x < t_end]
+            for target in (0.5, 2.0, 2.5, 3.0):
+                try:
+                    expected = scan_step_metrics(trace, target, t_start, t_end)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        compute_step_metrics(trace, target, t_start, t_end)
+                    continue
+                got = compute_step_metrics(trace, target, t_start, t_end)
+                assert repr(got) == repr(expected)
