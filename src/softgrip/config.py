@@ -211,7 +211,7 @@ class HardnessConfig:
     ramp_rate: float = 15.0
     max_duty: float = _bounded(plant.MAX_DUTY, _DUTY)
     duration_s: float = _bounded(8.0, _ONE_TICK)
-    min_contact_force: float = 0.25
+    min_contact_force: float = _bounded(0.25, _NON_NEGATIVE)
     slope_threshold: float = _bounded(10.0, _POSITIVE)  # deg/N separating stiff from soft
 
 

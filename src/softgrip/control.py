@@ -91,6 +91,10 @@ class Supervisor:
     the loop to the PI controller with the integral zeroed and the current
     duty carried over, so the handover itself introduces no duty bump.  The
     Approach -> ForceControl transition happens exactly once per attempt.
+
+    The reference model of the switching law: the experiments run it inlined
+    (``harness._closed_loop``, ``harness._supervisor_policy``), and the tests
+    hold both to a ``Supervisor`` stepped by ``tests/reference.py``.
     """
 
     target_force: float

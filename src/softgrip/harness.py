@@ -8,11 +8,11 @@ serial execution produce identical results.
 
 Three tick kernels step the experiments, and give the same bits:
 
-- ``simulate`` steps a few lanes one Python call at a time (``FingerPlant``,
-  ``contact_force``, a policy closure).  The hardness probe (2 open-loop
-  runs of 480 ticks at the default config) uses it, and the tests use it,
-  with a real ``PiController`` and ``Supervisor``, as the layered oracle
-  of the other two.
+- ``_open_loop`` steps one finger through a duty schedule fixed in advance:
+  the pressure recurrence in floats, the bend and the contact in numpy.  Its
+  callers then read the sensors one ``FingerPlant.sense`` per tick, in tick
+  order.  The calibration ramp (3 fingers of 12,390 ticks at the default
+  config) and the hardness probe (2 runs of 480) use it.
 - ``_closed_loop`` steps one finger under the supervisor and its PI
   controller in plain floats, one tick per loop pass, with its state in
   locals and its trace in column lists.  The step response (5 runs of 7,200
@@ -21,27 +21,29 @@ Three tick kernels step the experiments, and give the same bits:
   in batches of at most ``BATCH_LANES``.  The grasp sweep (540 lanes of 600
   ticks) and the estimation sweep (100 lanes that end early) use it.
 
-On every kernel each finger reads its sensors through its own
+``_open_loop`` and ``Lanes.step`` share one contact law (``_bend``).  On
+every kernel each finger reads its sensors through its own
 ``FingerPlant.sense``, which adds the finger's noise; the grasp lanes that
-share a plant seed read one noise stream.  Each kernel wins where it is
-used.  On a 2-CPU VM (Python 3.11, numpy 2.4; medians of 5 in-process
-runs) the default grasp sweep took 0.17 s batched against 0.76 s scalar,
-and the estimation sweep 0.066 s against 0.13 s: a run of one or two lanes
-would not gain, as per-tick numpy calls cost more than a few lanes' Python
-calls.  The step response took 0.15 s on ``_closed_loop`` against 0.41 s
-on ``simulate``, and the switching experiment 0.040 s against 0.108 s
-(medians over 5 alternating rounds of the minimum of 5 runs).  Most of the
-time left on both is the ``FingerPlant.sense`` calls, though their noise
-comes in blocks (``plant.GaussStream``).  ``tests/test_batch.py`` and
-``tests/test_closed_loop.py`` check the batch and the closed loop against
-the scalar kernel.
+share a plant seed read one noise stream.
 
-Calibration uses none of them.  Its staircase ramp is open loop, so
-``calibrate_finger`` steps each ramp cycle's free-space mechanics in one
-pass and then reads the cycle's sensors, one ``FingerPlant.sense`` per tick
-in tick order; ``tests/test_open_loop_calibration.py`` checks it against the
-ramp on ``simulate``.  ``BENCH_6.json``, ``BENCH_8.json``, ``BENCH_9.json``
-and ``BENCH_10.json`` hold the benchmark's before/after records.
+``tests/reference.py`` holds the reference model every kernel is checked
+against: ``simulate``, a tick loop that steps a few fingers one Python call
+at a time (``FingerPlant.step``, ``FingerPlant.sense``, ``contact_force``,
+and a policy closure that can drive a real ``Supervisor`` and
+``PiController``).  Each kernel wins over it where it is used.  On a 2-CPU
+VM (Python 3.11, numpy 2.4; medians of 5 in-process runs) the default grasp
+sweep took 0.17 s batched against 0.76 s on the reference, and the
+estimation sweep 0.066 s against 0.13 s: a run of one or two lanes would
+not gain, as per-tick numpy calls cost more than a few lanes' Python calls.
+The step response took 0.15 s on ``_closed_loop`` against 0.41 s on the
+reference, and the switching experiment 0.040 s against 0.108 s (medians
+over 5 alternating rounds of the minimum of 5 runs).  Most of the time left
+on every kernel is the ``FingerPlant.sense`` calls, though their noise comes
+in blocks (``plant.GaussStream``).  ``tests/test_open_loop.py``,
+``tests/test_open_loop_calibration.py``, ``tests/test_closed_loop.py`` and
+``tests/test_batch.py`` check the kernels against the reference.
+``BENCH_6.json``, ``BENCH_8.json``, ``BENCH_9.json`` and ``BENCH_10.json``
+hold the benchmark's before/after records.
 """
 
 from __future__ import annotations
@@ -51,19 +53,20 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, repeat
+from array import array
+from itertools import accumulate, compress, repeat
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from . import calibration as calib
 from .calibration import CSV_LINE_END, PolynomialModel, Sample
 from .config import Config
-from .control import Mode, PiController, Supervisor
+from .control import Mode, PiController
 from .errors import OutOfRangeError, SoftgripError
 from .estimation import ContactDetector, contact_force, internal_force
-from .plant import MAX_DUTY, FingerPlant, ObjectModel, shake_test
+from .plant import MAX_DUTY, NOISE_BLOCK, FingerPlant, ObjectModel, shake_test
 from .seeding import derive_seed
 
 TRACE_HEADER = ("t", "duty", "pressure_kpa", "angle_deg", "f_m", "f_i_pred", "f_c_est", "f_c_true", "mode")
@@ -94,11 +97,6 @@ class Trace:
         self.f_c_est.append(f_c_est)
         self.f_c_true.append(f_c_true)
         self.mode.append(mode)
-
-    def extend(self, *columns) -> None:
-        """Append rows given as columns, in ``append``'s argument order."""
-        for own, column in zip(vars(self).values(), columns):
-            own.extend(column)
 
     def __len__(self):
         return len(self.t)
@@ -228,70 +226,75 @@ def _build_controller(cfg: Config) -> PiController:
     )
 
 
-def _build_supervisor(cfg: Config, target: float) -> Supervisor:
-    sc = cfg.supervisor
-    return Supervisor(
-        target_force=target,
-        approach_rate=sc.approach_rate,
-        detector=ContactDetector(sc.contact_threshold, sc.hysteresis_ratio),
-    )
-
-
 # ---------------------------------------------------------------------------
-# The scalar tick kernel
+# The plant's contact law, and the open-loop kernel
 
 
-class Lane(NamedTuple):
-    """One finger stepped by ``simulate``.
+def _contact(finger_stiffness: float, obj: ObjectModel) -> tuple:
+    """(position, stiffness, share) of ``obj`` against a finger: ``share`` is
+    the finger's part of a bend past the position, as ``FingerPlant.step``
+    splits it."""
+    k_f, stiffness = finger_stiffness, obj.stiffness
+    return obj.position_angle, stiffness, k_f / (k_f + stiffness) if stiffness > 0.0 else 1.0
 
-    ``policy(i, reading, estimate)`` returns tick ``i``'s duty, or None to
-    end the run before the step; ``estimate`` is None when ``model`` is.
-    ``record(i, duty, reading, estimate)``, if given, runs after the step
-    and sees the state it left.
+
+def _bend(pressure: np.ndarray, bend_gain: float, angle_max: float, contact: tuple | None) -> tuple:
+    """``FingerPlant.step``'s bend and contact over an array of pressures:
+    (angle, true contact force).  ``contact`` is ``_contact``'s triple, of
+    floats or of one array each over the pressures, or None in free space.
+    Python's ``min(a, b)`` is ``np.where(b < a, b, a)``, so every value is
+    the plant's bit for bit."""
+    theta = bend_gain * pressure
+    theta = np.where(angle_max < theta, angle_max, theta)
+    if contact is None:
+        return theta, np.zeros_like(theta)
+    position, stiffness, share = contact
+    touch = theta > position
+    angle = np.where(touch, position + (theta - position) * share, theta)
+    angle = np.where(angle > theta, theta, angle)
+    return angle, np.where(touch, stiffness * (angle - position), 0.0)
+
+
+def _open_loop(plant_obj: FingerPlant, duties: list, dt: float, obj: ObjectModel | None = None) -> tuple:
+    """``FingerPlant.step(duty, dt, obj)`` for each duty of a schedule fixed in
+    advance: (pressures, angles, contact forces) after each step, as float64
+    arrays.
+
+    The pressure recurrence runs in floats, the bend and the contact in
+    numpy (``_bend``), and the plant is left in its last step's state.  A
+    ``dt`` the plant refuses raises its error before any step.
     """
-
-    plant: FingerPlant
-    model: PolynomialModel | None
-    obj: ObjectModel | None
-    duty: float  # stepped once in free space before the first tick
-    policy: Callable
-    record: Callable | None = None
-
-
-def simulate(cfg: Config, lanes: list, n_ticks: int) -> None:
-    """Run up to ``n_ticks`` control ticks of sense -> estimate -> policy ->
-    step -> record, visiting the lanes in order within each tick."""
-    dt = cfg.controller.period
-    margin = cfg.supervisor.extrapolation_margin
-    for lane in lanes:
-        lane.plant.step(lane.duty, dt)
-    for i in range(n_ticks):
-        for plant_obj, model, obj, _, policy, record in lanes:
-            reading = plant_obj.sense()
-            estimate = None
-            if model is not None:
-                estimate = contact_force(reading, model, margin)
-            duty = policy(i, reading, estimate)
-            if duty is None:
-                return
-            plant_obj.step(duty, dt, obj)
-            if record is not None:
-                record(i, duty, reading, estimate)
+    if dt <= 0.0 or dt > plant_obj.tau_p / 2.0:
+        plant_obj.step(0.0, dt)  # raises FingerPlant.step's error
+    rate, k_duty = dt / plant_obj.tau_p, plant_obj.k_duty
+    pressure = plant_obj.pressure
+    pressures = array("d")
+    for duty in duties:
+        pressure += rate * (k_duty * duty - pressure)
+        if pressure < 0.0:
+            pressure = 0.0
+        pressures.append(pressure)
+    pressures = np.array(pressures)
+    contact = None if obj is None else _contact(plant_obj.finger_stiffness, obj)
+    with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
+        angles, forces = _bend(pressures, plant_obj.bend_gain, plant_obj.angle_max, contact)
+    if duties:
+        plant_obj.pressure, plant_obj.angle, plant_obj.contact_force = (
+            float(pressures[-1]), float(angles[-1]), float(forces[-1])
+        )
+        plant_obj._stepped = True
+    return pressures, angles, forces
 
 
-def _trace_row(trace: Trace, plant_obj: FingerPlant, t, duty, reading, estimate, mode) -> None:
-    """Append a tick's reading and estimate with the state its step left."""
-    trace.append(
-        t,
-        duty,
-        plant_obj.pressure,
-        plant_obj.angle,
-        reading.force_meas,
-        estimate.internal,
-        estimate.contact,
-        plant_obj.contact_force,
-        mode,
-    )
+def _senses(plant_obj: FingerPlant, angles: np.ndarray, contact: np.ndarray):
+    """``FingerPlant.sense`` of each state (true angle, contact force), one
+    call per state, in order, as the returned iterator is read.  The states
+    become Python floats a block at a time, so a long run holds few."""
+    with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
+        forces = _horner(_weight_columns([plant_obj.internal_model]), angles) + contact
+    for k in range(0, len(angles), NOISE_BLOCK):
+        block = slice(k, k + NOISE_BLOCK)
+        yield from map(plant_obj.sense, angles[block].tolist(), forces[block].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +354,10 @@ class Lanes:
     stream and sensor filter, plus each lane's fitted model and object.  The
     lanes hold the mechanical state and each plant reads its own sensors
     from it, so every lane-tick is one ``FingerPlant.sense`` call, as on the
-    scalar path.  Every other operation repeats the scalar one in the same
-    order (Python's ``max(a, b)`` is ``np.where(b > a, b, a)``), so a lane
-    reproduces its scalar run bit for bit.  ``group`` numbers the lanes that
-    fail together, such as a grasp trial's fingers.
+    reference tick loop.  Every other operation repeats the scalar one in
+    the same order (Python's ``max(a, b)`` is ``np.where(b > a, b, a)``), so
+    a lane reproduces its reference run bit for bit.  ``group`` numbers the
+    lanes that fail together, such as a grasp trial's fingers.
     """
 
     def __init__(self, cfg: Config, plants: list, models: list, objs: list, group=None):
@@ -369,10 +372,9 @@ class Lanes:
         self.fit_columns = _weight_columns(models)
         self.margin = cfg.supervisor.extrapolation_margin
         self.lo, self.hi = np.array([_angle_bounds(m, self.margin) for m in models]).T
-        k_f = p.finger_stiffness
-        self.position = np.array([o.position_angle for o in objs], dtype=float)
-        self.stiffness = np.array([o.stiffness for o in objs], dtype=float)
-        self.share = np.array([k_f / (k_f + o.stiffness) if o.stiffness > 0.0 else 1.0 for o in objs])
+        # (position, stiffness, share), one array each over the lanes
+        contacts = [_contact(p.finger_stiffness, o) for o in objs]
+        self.contact = tuple(np.array(column, dtype=float) for column in zip(*contacts))
         # one array each, so an in-place write to one leaves the others alone
         self.pressure, self.angle, self.contact_force = (np.zeros(self.n) for _ in range(3))
         self.force_meas, self.angle_meas = np.zeros(self.n), np.zeros(self.n)
@@ -403,14 +405,7 @@ class Lanes:
         """``FingerPlant.step`` for every alive lane; ``free`` leaves objects out."""
         pressure = self.pressure + (dt / self.tau_p) * (self.k_duty * duty - self.pressure)
         pressure = np.where(pressure < 0.0, 0.0, pressure)
-        theta = self.bend_gain * pressure
-        theta = np.where(self.angle_max < theta, self.angle_max, theta)
-        if free:
-            angle, force = theta, np.zeros(self.n)
-        else:
-            touch = theta > self.position
-            angle = np.where(touch, self.position + (theta - self.position) * self.share, theta)
-            force = np.where(touch, self.stiffness * (angle - self.position), 0.0)
+        angle, force = _bend(pressure, self.bend_gain, self.angle_max, None if free else self.contact)
         alive = self.alive
         self.pressure = np.where(alive, pressure, self.pressure)
         self.angle = np.where(alive, angle, self.angle)
@@ -470,8 +465,10 @@ def _supervisor_policy(cfg: Config, lanes: Lanes, targets: np.ndarray) -> Callab
     a ``simulate_lanes`` policy; the lanes hold the controller state."""
     cc = cfg.controller
     lo, hi, dt = cc.output_min, cc.output_max, cc.period
-    # built once, with the checks the scalar path makes when it builds them
-    detector, ctrl = _build_supervisor(cfg, 0.0).detector, _build_controller(cfg)
+    # built once, with the checks the reference makes when it builds them
+    sc = cfg.supervisor
+    detector = ContactDetector(sc.contact_threshold, sc.hysteresis_ratio)
+    ctrl = _build_controller(cfg)
     approach_step = cfg.supervisor.approach_rate * dt
 
     def supervise(i, contact):
@@ -530,11 +527,12 @@ def _closed_loop(
     reads its sensors through ``FingerPlant.sense``.  Every other operation
     repeats the scalar one (``contact_force``, ``Supervisor.step``,
     ``PiController.step``, ``FingerPlant.step``) in the same order, so the
-    trace is the one ``simulate`` records bit for bit, and an error is raised
-    on the tick, and with the message, that the scalar path would raise.
+    trace is the one the reference tick loop records bit for bit, and an
+    error is raised on the tick, and with the message, that it would raise.
     """
-    # built once, with the checks the scalar path makes when it builds them
-    detector = None if force_mode else _build_supervisor(cfg, 0.0).detector
+    # built once, with the checks the reference makes when it builds them
+    sc = cfg.supervisor
+    detector = None if force_mode else ContactDetector(sc.contact_threshold, sc.hysteresis_ratio)
     ctrl = _build_controller(cfg)
     dt = ctrl.period
     plant_obj.step(duty, dt)  # raises FingerPlant.step's error for a bad dt
@@ -546,9 +544,8 @@ def _closed_loop(
     kp, ki, out_lo, out_hi = ctrl.kp, ctrl.ki, ctrl.output_min, ctrl.output_max
     approach_step = cfg.supervisor.approach_rate * dt
     rate, k_duty = dt / plant_obj.tau_p, plant_obj.k_duty
-    bend_gain, angle_max, k_f = plant_obj.bend_gain, plant_obj.angle_max, plant_obj.finger_stiffness
-    position, stiffness = obj.position_angle, obj.stiffness
-    share = k_f / (k_f + stiffness) if stiffness > 0.0 else 1.0
+    bend_gain, angle_max = plant_obj.bend_gain, plant_obj.angle_max
+    position, stiffness, share = _contact(plant_obj.finger_stiffness, obj)
     pressure, angle, contact_true = plant_obj.pressure, plant_obj.angle, plant_obj.contact_force
     integral = 0.0
     switch_at = 0 if force_mode else None
@@ -595,6 +592,8 @@ def _closed_loop(
             theta = angle_max
         if theta > position:
             angle = position + (theta - position) * share
+            if angle > theta:
+                angle = theta
             contact_true = stiffness * (angle - position)
         else:
             angle, contact_true = theta, 0.0
@@ -626,9 +625,9 @@ def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = Fal
     """One finger's staircase ramp cycles; returns (samples, trace), the
     trace None unless ``with_trace``.
 
-    The ramp is open loop: no reading feeds back into the duty.  So each
-    cycle's free-space mechanics are stepped first, ``FingerPlant.step``'s
-    recurrence over the whole cycle, and then its sensors are read in one
+    The ramp is open loop: no reading feeds back into the duty.  So every
+    cycle's levels are drawn first, in cycle order, and ``_open_loop`` steps
+    the whole ramp's free-space mechanics; then its sensors are read in one
     pass, one ``FingerPlant.sense`` per tick in tick order, so the noise and
     the filter advance as they would in a tick loop.  Tick ``i`` reads the
     state its duty drove; the last dwell tick of each level, and of the rest,
@@ -638,63 +637,42 @@ def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = Fal
     cal = cfg.calibration
     dt = cfg.controller.period
     plant_obj = _build_plant(cfg, finger, derive_seed(seed, "calibration", finger, "plant"))
-    tau_p, k_duty = plant_obj.tau_p, plant_obj.k_duty
-    if dt <= 0.0 or dt > tau_p / 2.0:
-        plant_obj.step(0.0, dt)  # raises FingerPlant.step's error
     level_rng = random.Random(derive_seed(seed, "calibration", finger, "levels"))
     peak_duty = min(MAX_DUTY, cal.peak_pressure / cfg.plant.k_duty)
     base_levels = [peak_duty * k / cal.levels for k in range(1, cal.levels + 1)]
     hold_ticks = max(1, int(round(cal.hold_s / dt)))
     rest_ticks = max(1, int(round(cal.rest_s / dt)))
-    cycle_ticks = (2 * cal.levels - 1) * hold_ticks + rest_ticks
-    # the ticks whose readings become samples: each dwell's last
-    ends = [*range(hold_ticks - 1, cycle_ticks - rest_ticks, hold_ticks), cycle_ticks - 1]
-    true_columns = _weight_columns([plant_obj.internal_model])
-    rate = dt / tau_p
-    samples: list[Sample] = []
-    trace = Trace() if with_trace else None
-    pressure = t = 0.0
+    duties = []  # duty per tick, each cycle up to the peak, back down, then rest
+    ends = []  # per tick, True where its reading is a sample: each dwell's last tick
+    for _ in range(cal.cycles):
+        jittered = [
+            min(MAX_DUTY, max(1.0, lv + level_rng.uniform(-cal.level_jitter, cal.level_jitter)))
+            for lv in base_levels
+        ]
+        # rest-dwell sample anchors the fit near zero bend, so later runs that
+        # start from rest stay inside the calibrated range
+        dwells = [(duty, hold_ticks) for duty in jittered + jittered[-2::-1]] + [(0.0, rest_ticks)]
+        for duty, ticks in dwells:
+            duties += [duty] * ticks
+            ends += [False] * (ticks - 1) + [True]
+    pressures, angles, contact = _open_loop(plant_obj, duties, dt)
+    readings = _senses(plant_obj, angles, contact)
+    if with_trace:
+        readings = list(readings)
+    samples = [Sample(r.angle_meas, r.force_meas) for r in compress(readings, ends)]
+    if not with_trace:
+        return samples, None
+    n = len(duties)
+    f_m = np.array([r.force_meas for r in readings])
+    angle_meas = np.array([r.angle_meas for r in readings])
+    del readings  # one object per tick: freed before the trace's columns are built
     with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
-        for _ in range(cal.cycles):
-            jittered = [
-                min(MAX_DUTY, max(1.0, lv + level_rng.uniform(-cal.level_jitter, cal.level_jitter)))
-                for lv in base_levels
-            ]
-            duties = []  # duty per tick: up to the peak, back down, then rest
-            for duty in jittered + jittered[-2::-1]:
-                duties += [duty] * hold_ticks
-            # rest-dwell sample anchors the fit near zero bend, so later runs that
-            # start from rest stay inside the calibrated range
-            duties += [0.0] * rest_ticks
-            pressures = []
-            for duty in duties:
-                pressure += rate * (k_duty * duty - pressure)
-                if pressure < 0.0:
-                    pressure = 0.0
-                pressures.append(pressure)
-            theta = plant_obj.bend_gain * np.array(pressures)
-            angles = np.where(plant_obj.angle_max < theta, plant_obj.angle_max, theta)
-            forces = _horner(true_columns, angles) + 0.0  # no contact in free space
-            readings = list(map(plant_obj.sense, angles.tolist(), forces.tolist()))
-            samples += [Sample(r.angle_meas, r.force_meas) for r in map(readings.__getitem__, ends)]
-            if trace is not None:
-                times = list(accumulate(repeat(dt, cycle_ticks), initial=t))
-                t = times.pop()
-                f_m = np.array([r.force_meas for r in readings])
-                internal = _horner(true_columns, np.array([r.angle_meas for r in readings]))
-                internal = np.where(internal > 0.0, internal, 0.0)
-                trace.extend(
-                    times,
-                    duties,
-                    pressures,
-                    angles.tolist(),
-                    f_m.tolist(),
-                    internal.tolist(),
-                    (f_m - internal).tolist(),
-                    [0.0] * cycle_ticks,
-                    ["calibrate"] * cycle_ticks,
-                )
-    return samples, trace
+        internal = _horner(_weight_columns([plant_obj.internal_model]), angle_meas)
+        internal = np.where(internal > 0.0, internal, 0.0)
+        estimate = internal.tolist(), (f_m - internal).tolist()
+    times = list(accumulate(repeat(dt, n - 1), initial=0.0))
+    columns = duties, pressures.tolist(), angles.tolist(), f_m.tolist(), *estimate, contact.tolist()
+    return samples, Trace(times, *columns, ["calibrate"] * n)
 
 
 def run_calibration_experiment(
@@ -1035,39 +1013,48 @@ def probe_hardness(cfg: Config, stiffness: float | None, seed: int, models) -> H
     """Open-loop duty ramp; classify from the post-contact d(angle)/d(force).
 
     ``stiffness`` None means a free-space probe, which yields no
-    classification (guard: no contact, nothing to classify).
+    classification (guard: no contact, nothing to classify); so do fewer
+    than 20 points in contact, or points with one estimated force.
+
+    The ramp is fixed in advance, so after one free-space step at duty 0
+    ``_open_loop`` steps the whole probe, and each tick then reads the state
+    the step before it left: one ``FingerPlant.sense`` and one
+    ``contact_force`` per tick, in tick order, as a tick loop would.
     """
     hc = cfg.hardness
     dt = cfg.controller.period
-    obj = (
-        ObjectModel(position_angle=hc.position_angle, stiffness=stiffness)
-        if stiffness is not None
-        else None
-    )
+    obj = None if stiffness is None else ObjectModel(hc.position_angle, stiffness)
     plant_obj = _build_plant(cfg, 0, derive_seed(seed, "hardness", stiffness or "free"))
-    duty = 0.0
-    points = []
-    trace = Trace()
-
-    def ramp(i, reading, estimate):
-        nonlocal duty
+    model, margin = models[0], cfg.supervisor.extrapolation_margin
+    n = int(round(hc.duration_s / dt))
+    duties, duty = [], 0.0
+    for _ in range(n):
+        duty = min(hc.max_duty, duty + hc.ramp_rate * dt)
+        duties.append(duty)
+    plant_obj.step(0.0, dt)  # in free space before the first tick; raises for a bad dt
+    angle0, contact0 = plant_obj.angle, plant_obj.contact_force
+    pressures, angles, contact = _open_loop(plant_obj, duties, dt, obj)
+    # tick i senses the state the step before it left
+    readings = _senses(plant_obj, np.append(angle0, angles)[:n], np.append(contact0, contact)[:n])
+    f_m, internals, estimates, points = [], [], [], []
+    for reading in readings:
+        estimate = contact_force(reading, model, margin)
+        f_m.append(reading.force_meas)
+        internals.append(estimate.internal)
+        estimates.append(estimate.contact)
         if estimate.contact > hc.min_contact_force:
             points.append((estimate.contact, reading.angle_meas))
-        duty = min(hc.max_duty, duty + hc.ramp_rate * dt)
-        return duty
-
-    def record(i, duty, reading, estimate):
-        _trace_row(trace, plant_obj, i * dt, duty, reading, estimate, "probe")
-
-    simulate(cfg, [Lane(plant_obj, models[0], obj, duty, ramp, record)], int(round(hc.duration_s / dt)))
+    columns = duties, pressures.tolist(), angles.tolist(), f_m, internals, estimates, contact.tolist()
+    trace = Trace([i * dt for i in range(n)], *columns, ["probe"] * n)
     if len(points) < 20:
         return HardnessResult(classification=None, slope_deg_per_n=None, trace=trace)
     # least-squares slope of angle against estimated force
     mf = sum(p[0] for p in points) / len(points)
     ma = sum(p[1] for p in points) / len(points)
     sxx = sum((p[0] - mf) ** 2 for p in points)
-    sxy = sum((p[0] - mf) * (p[1] - ma) for p in points)
-    slope = sxy / sxx
+    if sxx == 0.0:  # every point reads one force: no slope to fit
+        return HardnessResult(classification=None, slope_deg_per_n=None, trace=trace)
+    slope = sum((p[0] - mf) * (p[1] - ma) for p in points) / sxx
     classification = "stiff" if slope < hc.slope_threshold else "soft"
     return HardnessResult(classification=classification, slope_deg_per_n=slope, trace=trace)
 

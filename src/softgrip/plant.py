@@ -206,7 +206,9 @@ class FingerPlant:
         if obj is not None and theta_free > obj.position_angle:
             k_f = self.finger_stiffness
             share = k_f / (k_f + obj.stiffness) if obj.stiffness > 0.0 else 1.0
-            self.angle = obj.position_angle + (theta_free - obj.position_angle) * share
+            angle = obj.position_angle + (theta_free - obj.position_angle) * share
+            # with a share near 1, rounding can put the sum an ulp past the free bend
+            self.angle = theta_free if angle > theta_free else angle
             self.contact_force = obj.stiffness * (self.angle - obj.position_angle)
         else:
             self.angle = theta_free

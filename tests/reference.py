@@ -1,0 +1,113 @@
+"""The reference tick loop every kernel of ``softgrip.harness`` is checked against.
+
+``simulate`` steps a few fingers one Python call at a time, through the
+package's layered API: ``FingerPlant.step``, ``FingerPlant.sense``,
+``contact_force`` and a policy closure, which can drive a real
+``Supervisor`` and ``PiController``.  It is slow and plain on purpose.  The
+production kernels (``_open_loop``, ``_closed_loop`` and ``simulate_lanes``)
+repeat its arithmetic in a faster form, and the tests hold them to its bits,
+comparing with ``hexed`` and counting sensor reads with ``counted_senses``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+from typing import Callable, NamedTuple
+
+from softgrip.calibration import PolynomialModel
+from softgrip.config import Config
+from softgrip.control import Supervisor
+from softgrip.estimation import ContactDetector, contact_force
+from softgrip.harness import Trace
+from softgrip.plant import FingerPlant, ObjectModel
+
+
+class Lane(NamedTuple):
+    """One finger stepped by ``simulate``.
+
+    ``policy(i, reading, estimate)`` returns tick ``i``'s duty, or None to
+    end the run before the step; ``estimate`` is None when ``model`` is.
+    ``record(i, duty, reading, estimate)``, if given, runs after the step
+    and sees the state it left.
+    """
+
+    plant: FingerPlant
+    model: PolynomialModel | None
+    obj: ObjectModel | None
+    duty: float  # stepped once in free space before the first tick
+    policy: Callable
+    record: Callable | None = None
+
+
+def simulate(cfg: Config, lanes: list, n_ticks: int) -> None:
+    """Run up to ``n_ticks`` control ticks of sense -> estimate -> policy ->
+    step -> record, visiting the lanes in order within each tick."""
+    dt = cfg.controller.period
+    margin = cfg.supervisor.extrapolation_margin
+    for lane in lanes:
+        lane.plant.step(lane.duty, dt)
+    for i in range(n_ticks):
+        for plant_obj, model, obj, _, policy, record in lanes:
+            reading = plant_obj.sense()
+            estimate = None
+            if model is not None:
+                estimate = contact_force(reading, model, margin)
+            duty = policy(i, reading, estimate)
+            if duty is None:
+                return
+            plant_obj.step(duty, dt, obj)
+            if record is not None:
+                record(i, duty, reading, estimate)
+
+
+def trace_row(trace: Trace, plant_obj: FingerPlant, t, duty, reading, estimate, mode) -> None:
+    """Append a tick's reading and estimate with the state its step left."""
+    trace.append(
+        t,
+        duty,
+        plant_obj.pressure,
+        plant_obj.angle,
+        reading.force_meas,
+        estimate.internal,
+        estimate.contact,
+        plant_obj.contact_force,
+        mode,
+    )
+
+
+def build_supervisor(cfg: Config, target: float) -> Supervisor:
+    sc = cfg.supervisor
+    return Supervisor(
+        target_force=target,
+        approach_rate=sc.approach_rate,
+        detector=ContactDetector(sc.contact_threshold, sc.hysteresis_ratio),
+    )
+
+
+def hexed(value):
+    """``value`` with every float inside it replaced by its ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return [hexed(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value
+
+
+@contextlib.contextmanager
+def counted_senses():
+    """The ``FingerPlant.sense`` calls made inside, counted into a one-item list."""
+    calls = [0]
+    real = FingerPlant.sense
+
+    def sense(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    FingerPlant.sense = sense
+    try:
+        yield calls
+    finally:
+        FingerPlant.sense = real

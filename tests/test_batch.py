@@ -1,11 +1,12 @@
-"""The batched tick kernel against the scalar one.
+"""The batched tick kernel against the reference tick loop.
 
 ``harness.simulate_lanes`` runs the grasp and estimation sweeps as lockstep
-batches of lanes.  The oracles below are the trial-by-trial bodies
-those sweeps had on the scalar ``harness.simulate``.  Over generated configs,
-seeds and models, the batch must give the same outcomes, the same grips
-passed to ``shake_test``, the same estimation rows and the same raised
-errors (type and message), every float compared as ``float.hex``.
+batches of lanes.  The oracles below are the trial-by-trial bodies those
+sweeps had on the reference tick loop, ``reference.simulate``.  Over
+generated configs, seeds and models, the batch must give the same
+outcomes, the same grips passed to ``shake_test``, the same estimation rows
+and the same raised errors (type and message), every float compared as
+``float.hex``.
 
 The strategies reach noise sigma 0, object stiffness 0, ``output_min > 0``,
 fingers whose models have different degrees, models without a calibrated
@@ -15,14 +16,13 @@ split into smaller batches, and empty sweeps.  Sizes stay small (a cheap
 calibration, at most 8 grasp trials of at most 2 s) so the file runs in
 seconds.
 
-The batch keeps the scalar path's sensing contract: one
+The batch keeps the reference's sensing contract: one
 ``FingerPlant.sense`` call per live lane-tick, and grasp lanes that share
 a plant seed (one object, trial and finger at other set-points) read one
 noise stream, which refuses a read out of order.
 """
 
 import contextlib
-import dataclasses
 import math
 import random
 
@@ -34,8 +34,10 @@ from softgrip import harness
 from softgrip.calibration import PolynomialModel
 from softgrip.config import config_from_dict, validate
 from softgrip.errors import NonFiniteError, OutOfRangeError, SoftgripError
-from softgrip.harness import GraspOutcome, EstimationRow, Lane, simulate
+from softgrip.harness import GraspOutcome, EstimationRow
 from softgrip.plant import NOISE_BLOCK, FingerPlant, ObjectModel
+
+from reference import Lane, build_supervisor, hexed, simulate
 
 # ---------------------------------------------------------------------------
 # Oracles: the scalar bodies the batch replaced
@@ -64,7 +66,7 @@ def oracle_grasp_trial(cfg, object_name, setpoint, trial, master, models) -> Gra
 
     def finger_lane(f: int) -> Lane:
         p = harness._build_plant(cfg, f, harness.derive_seed(master, "grasp", object_name, trial, "plant", f))
-        sup, ctrl = harness._build_supervisor(cfg, targets[f]), harness._build_controller(cfg)
+        sup, ctrl = build_supervisor(cfg, targets[f]), harness._build_controller(cfg)
 
         def supervise(i, reading, estimate):
             return sup.step(ctrl, estimate, dt)
@@ -138,17 +140,6 @@ def oracle_estimation_rows(cfg, master, models) -> list:
 
 # ---------------------------------------------------------------------------
 # Comparison
-
-
-def hexed(value):
-    """``value`` with every float inside it replaced by its ``float.hex``."""
-    if isinstance(value, float):
-        return value.hex()
-    if dataclasses.is_dataclass(value):
-        return hexed(dataclasses.astuple(value))
-    if isinstance(value, (list, tuple)):
-        return [hexed(v) for v in value]
-    return value
 
 
 @contextlib.contextmanager

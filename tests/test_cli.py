@@ -5,7 +5,8 @@ Covers:
 - a grasp that bends past the calibrated range names its object,
   set-point and trial
 - a switch run whose tracking error squares past the float range exits 0,
-  as does one whose contact comes on its last tick
+  as does one whose contact comes on its last tick, and a hardness probe
+  whose points in contact all read one force
 - the exact key sets of every JSON output
 - validate: normalized dump with defaults, per-field diagnostics
 - outputs land only under --out; manifest written alongside
@@ -14,6 +15,7 @@ Covers:
   config, with --jobs varying
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -145,6 +147,10 @@ def test_validate_unknown_key_exit_2(tmp_path, capsys):
         # the PWM duty ceiling, plant.MAX_DUTY
         ({"controller.output_max": 400.0}, [], "controller.output_max"),
         ({"hardness.max_duty": 400.0}, [], "hardness.max_duty"),
+    ]
+    + [
+        # a negative threshold counts free-space readings as contact
+        ({"hardness.min_contact_force": -1.0}, [], "hardness.min_contact_force"),
     ],
 )
 def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args, field):
@@ -193,6 +199,31 @@ def test_run_switch_contact_on_the_last_tick_exit_0(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     (run,) = json.loads((tmp_path / "o" / "switch_metrics.json").read_text())["runs"]
     assert run["switch_time"] == 64 * (1.0 / 60.0)
+
+
+def test_run_hardness_points_of_one_force_exit_0(tmp_path, capsys):
+    # noise off, no filter lag, no ramp: the finger rests in free space, and
+    # every estimate reads one force a few ulps above the 0 N threshold
+    path = write_config(
+        tmp_path,
+        {
+            "plant.noise_sigma": 0.0,
+            "plant.angle_noise_sigma": 0.0,
+            "plant.filter_alpha": 1.0,
+            "hardness.ramp_rate": 0.0,
+            "hardness.min_contact_force": 0.0,
+        },
+    )
+    out = tmp_path / "o"
+    rc = main(["run", "hardness", "--config", str(path), "--out", str(out), "--seed", "0"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    result = json.loads((out / "hardness_result.json").read_text())
+    assert result == {name: {"classification": None, "slope_deg_per_n": None} for name in ("stiff", "soft")}
+    with open(out / "hardness_trace_stiff.csv", newline="") as fh:
+        estimates = [float(row["f_c_est"]) for row in csv.DictReader(fh)]
+    in_contact = [e for e in estimates if e > 0.0]
+    assert len(in_contact) >= 20 and len(set(in_contact)) == 1
 
 
 def test_run_rejects_invalid_config(tmp_path, capsys):

@@ -1,13 +1,14 @@
-"""The closed-loop kernel against the scalar one.
+"""The closed-loop kernel against the reference tick loop.
 
 ``harness._closed_loop`` runs the step and switching experiments as one
 plain-float loop.  The oracles below are the bodies those experiments had on
-the scalar ``harness.simulate``, driven by a real ``PiController`` (step) or
-``Supervisor`` (switching).  Over generated configs, models, objects, start
-duties and per-tick targets, the kernel must give the same trace, every
-number compared as ``float.hex`` and every one a Python ``float``, the same
-modes, the same number of ``FingerPlant.sense`` calls, and the same raised
-errors (type and message) on the same tick.
+the reference tick loop (``reference.simulate``), driven by a real
+``PiController`` (step) or ``Supervisor`` (switching).  Over generated
+configs, models, objects, start duties and per-tick targets, the kernel
+must give the same trace, every number compared as ``float.hex`` and every
+one a Python ``float``, the same modes, the same number of
+``FingerPlant.sense`` calls, and the same raised errors (type and message)
+on the same tick.
 
 The strategies reach zero gains, a warm-start duty, unreachable and negative
 targets (saturation and anti-windup at both limits), ``output_min > 0``,
@@ -18,8 +19,6 @@ and a non-finite contact estimate, during approach or under control.
 Runs are at most 300 ticks, so the file runs in seconds.
 """
 
-import contextlib
-import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -30,8 +29,10 @@ from softgrip.calibration import PolynomialModel
 from softgrip.config import config_from_dict, validate
 from softgrip.control import Mode
 from softgrip.errors import NonFiniteError, OutOfRangeError, SoftgripError
-from softgrip.harness import Lane, Trace, simulate
-from softgrip.plant import FingerPlant, ObjectModel
+from softgrip.harness import Trace
+from softgrip.plant import ObjectModel
+
+from reference import Lane, build_supervisor, counted_senses, hexed, simulate, trace_row
 
 # ---------------------------------------------------------------------------
 # Oracles: the scalar bodies the kernel replaced
@@ -54,7 +55,7 @@ def oracle_closed_loop(cfg, plant_obj, model, obj, targets, duty, force_mode) ->
             return Mode.FORCE_CONTROL.value
 
     else:
-        supervisor = harness._build_supervisor(cfg, 0.0)
+        supervisor = build_supervisor(cfg, 0.0)
         supervisor.duty = duty
         ctrl = harness._build_controller(cfg)
 
@@ -66,7 +67,7 @@ def oracle_closed_loop(cfg, plant_obj, model, obj, targets, duty, force_mode) ->
             return supervisor.mode.value
 
     def record(i, duty, reading, estimate):
-        harness._trace_row(trace, plant_obj, i * dt, duty, reading, estimate, mode())
+        trace_row(trace, plant_obj, i * dt, duty, reading, estimate, mode())
 
     simulate(cfg, [Lane(plant_obj, model, obj, duty, policy, record)], len(targets))
     return trace
@@ -114,40 +115,12 @@ def oracle_switching_experiment(cfg, seed, models) -> list:
 # Comparison
 
 
-def hexed(value):
-    """``value`` with every float inside it replaced by its ``float.hex``."""
-    if isinstance(value, float):
-        return value.hex()
-    if dataclasses.is_dataclass(value):
-        return [hexed(getattr(value, f.name)) for f in dataclasses.fields(value)]
-    if isinstance(value, (list, tuple)):
-        return [hexed(v) for v in value]
-    return value
-
-
 def assert_floats(trace: Trace) -> None:
     """Every number of ``trace`` is a Python float, and every mode one of ``Mode``'s."""
     *numbers, modes = vars(trace).values()
     assert all(type(v) is float for column in numbers for v in column)
     assert set(modes) <= {m.value for m in Mode}
     assert all(len(column) == len(modes) for column in numbers)
-
-
-@contextlib.contextmanager
-def counted_senses():
-    """The ``FingerPlant.sense`` calls made inside, counted into a one-item list."""
-    calls = [0]
-    real = FingerPlant.sense
-
-    def sense(self, *args):
-        calls[0] += 1
-        return real(self, *args)
-
-    FingerPlant.sense = sense
-    try:
-        yield calls
-    finally:
-        FingerPlant.sense = real
 
 
 def run(fn, *args) -> tuple:

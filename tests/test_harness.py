@@ -24,7 +24,6 @@ import pytest
 from softgrip import harness
 from softgrip.config import default_config
 from softgrip.harness import (
-    Lane,
     Trace,
     compute_step_metrics,
     grasp_trial,
@@ -35,8 +34,9 @@ from softgrip.harness import (
     run_hardness_probe,
     run_step_response,
     run_switching_experiment,
-    simulate,
 )
+
+from reference import Lane, simulate
 
 
 @pytest.fixture(scope="module")

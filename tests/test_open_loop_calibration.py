@@ -1,11 +1,12 @@
 """The open-loop calibration ramp against the tick loop it replaced.
 
-``harness.calibrate_finger`` steps each staircase cycle's free-space
-mechanics first and then reads the cycle's sensors in one pass.  The oracle
-below is the body it had on the scalar ``harness.simulate``: a staircase
-policy fed one tick at a time.  Over generated configs the two must give the
-same samples and the same trace, every float compared as ``float.hex`` and
-every value a Python ``float``, so the CSVs keep their bytes.
+``harness.calibrate_finger`` steps the whole staircase's free-space
+mechanics first, on ``harness._open_loop``, and then reads its sensors in
+one pass.  The oracle below is the body it had on the reference tick loop
+(``reference.simulate``): a staircase policy fed one tick at a time.  Over
+generated configs the two must give the same samples and the same trace,
+every float compared as ``float.hex`` and every value a Python ``float``,
+so the CSVs keep their bytes.
 
 The strategies reach peak pressures above the PWM ceiling (the duty caps at
 ``MAX_DUTY``), bend angles that saturate at ``angle_max``, noise sigma 0,
@@ -26,8 +27,10 @@ from hypothesis import strategies as st
 from softgrip import harness
 from softgrip.calibration import Sample, save_samples
 from softgrip.config import config_from_dict, validate
-from softgrip.harness import Lane, Trace, simulate
+from softgrip.harness import Trace
 from softgrip.plant import MAX_DUTY, FingerPlant
+
+from reference import Lane, simulate, trace_row
 
 # ---------------------------------------------------------------------------
 # Oracle: the ramp on the scalar tick loop
@@ -62,7 +65,7 @@ def oracle_calibrate_finger(cfg, finger, seed, with_trace=False) -> tuple:
     def staircase(i, reading, estimate):
         nonlocal t
         if trace is not None:
-            harness._trace_row(trace, plant_obj, t, schedule[i], reading, estimate, "calibrate")
+            trace_row(trace, plant_obj, t, schedule[i], reading, estimate, "calibrate")
             t += dt
         if i in sample_ticks:
             samples.append(Sample(reading.angle_meas, reading.force_meas))
