@@ -28,6 +28,16 @@ class ContactEstimate:
     internal: float
 
 
+def calibrated_range(model: PolynomialModel, margin: float) -> tuple:
+    """The angles ``internal_force`` accepts for ``model``, as (lo, hi): the
+    calibrated range extended by ``margin`` x span on each side, or all
+    angles for a model without one."""
+    if model.angle_min is None or model.angle_max is None:
+        return -math.inf, math.inf
+    slack = margin * (model.angle_max - model.angle_min)
+    return model.angle_min - slack, model.angle_max + slack
+
+
 def internal_force(
     model: PolynomialModel,
     angle: float,
@@ -35,18 +45,16 @@ def internal_force(
 ) -> float:
     """Predicted free-space (internal) force at ``angle``, clamped below at 0.
 
-    Raises OutOfRangeError when the angle leaves the calibrated range extended
-    by ``margin`` x span on each side: polynomials diverge fast outside their
-    support, so extrapolated predictions are refused rather than returned.
+    Raises OutOfRangeError when the angle leaves ``calibrated_range``:
+    polynomials diverge fast outside their support, so extrapolated
+    predictions are refused rather than returned.
     """
-    if model.angle_min is not None and model.angle_max is not None:
-        span = model.angle_max - model.angle_min
-        slack = margin * span
-        if angle < model.angle_min - slack or angle > model.angle_max + slack:
-            raise OutOfRangeError(
-                f"angle {angle:.2f} outside calibrated range "
-                f"[{model.angle_min:.2f}, {model.angle_max:.2f}] + {margin:.0%} margin"
-            )
+    lo, hi = calibrated_range(model, margin)
+    if angle < lo or angle > hi:
+        raise OutOfRangeError(
+            f"angle {angle:.2f} outside calibrated range "
+            f"[{model.angle_min:.2f}, {model.angle_max:.2f}] + {margin:.0%} margin"
+        )
     return max(0.0, model.predict(angle))
 
 

@@ -21,7 +21,9 @@ Three tick kernels step the experiments, and give the same bits:
   in batches of at most ``BATCH_LANES``.  The grasp sweep (540 lanes of 600
   ticks) and the estimation sweep (100 lanes that end early) use it.
 
-``_open_loop`` and ``Lanes.step`` share one contact law (``_bend``).  On
+``_open_loop`` and ``Lanes.step`` share one bend law (``_bend``).  The
+kernels inline only per-tick arithmetic: the contact split, the step-size
+limit and the calibrated range come from ``plant`` and ``estimation``.  On
 every kernel each finger reads its sensors through its own
 ``FingerPlant.sense``, which adds the finger's noise; the grasp lanes that
 share a plant seed read one noise stream.
@@ -65,12 +67,13 @@ from .calibration import CSV_LINE_END, PolynomialModel, Sample
 from .config import Config
 from .control import Mode, PiController
 from .errors import OutOfRangeError, SoftgripError
-from .estimation import ContactDetector, contact_force, internal_force
-from .plant import MAX_DUTY, NOISE_BLOCK, FingerPlant, ObjectModel, shake_test
+from .estimation import ContactDetector, calibrated_range, contact_force, internal_force
+from .plant import MAX_DUTY, NOISE_BLOCK, FingerPlant, ObjectModel, contact_split, shake_test
 from .seeding import derive_seed
 
 TRACE_HEADER = ("t", "duty", "pressure_kpa", "angle_deg", "f_m", "f_i_pred", "f_c_est", "f_c_true", "mode")
 _TRACE_ROW = "%r," * (len(TRACE_HEADER) - 1) + "%s" + CSV_LINE_END
+SETTLING_BAND = 0.05  # StepMetrics' settling band, a fraction of the target
 
 
 @dataclass
@@ -163,9 +166,7 @@ def _rms(deviations: list) -> float:
     return math.sqrt(mean_square)
 
 
-def compute_step_metrics(
-    trace: Trace, target: float, t_start: float, t_end: float, band: float = 0.05
-) -> StepMetrics:
+def compute_step_metrics(trace: Trace, target: float, t_start: float, t_end: float) -> StepMetrics:
     """Derive StepMetrics from a trace segment; recomputable from the CSV.
 
     The segment is the rows with ``t_start <= t < t_end``.  Every trace keeps
@@ -175,7 +176,7 @@ def compute_step_metrics(
     true, est = trace.f_c_true[rows], trace.f_c_est[rows]
     if not true:
         raise ValueError("empty segment")
-    lo, hi = target * (1.0 - band), target * (1.0 + band)
+    lo, hi = target * (1.0 - SETTLING_BAND), target * (1.0 + SETTLING_BAND)
     from_below = true[0] <= target
     settle_at = None  # the first row of the in-band stretch that reaches the segment end
     for k, force in enumerate(true):
@@ -220,28 +221,17 @@ def _build_plant(cfg: Config, finger: int, seed: int) -> FingerPlant:
 
 
 def _build_controller(cfg: Config) -> PiController:
-    cc = cfg.controller
-    return PiController(
-        kp=cc.kp, ki=cc.ki, period=cc.period, output_min=cc.output_min, output_max=cc.output_max
-    )
+    return PiController(**vars(cfg.controller))
 
 
 # ---------------------------------------------------------------------------
-# The plant's contact law, and the open-loop kernel
-
-
-def _contact(finger_stiffness: float, obj: ObjectModel) -> tuple:
-    """(position, stiffness, share) of ``obj`` against a finger: ``share`` is
-    the finger's part of a bend past the position, as ``FingerPlant.step``
-    splits it."""
-    k_f, stiffness = finger_stiffness, obj.stiffness
-    return obj.position_angle, stiffness, k_f / (k_f + stiffness) if stiffness > 0.0 else 1.0
+# The plant's bend law, and the open-loop kernel
 
 
 def _bend(pressure: np.ndarray, bend_gain: float, angle_max: float, contact: tuple | None) -> tuple:
     """``FingerPlant.step``'s bend and contact over an array of pressures:
-    (angle, true contact force).  ``contact`` is ``_contact``'s triple, of
-    floats or of one array each over the pressures, or None in free space.
+    (angle, true contact force).  ``contact`` is ``contact_split``'s triple,
+    of floats or of one array each over the pressures, or None in free space.
     Python's ``min(a, b)`` is ``np.where(b < a, b, a)``, so every value is
     the plant's bit for bit."""
     theta = bend_gain * pressure
@@ -264,8 +254,7 @@ def _open_loop(plant_obj: FingerPlant, duties: list, dt: float, obj: ObjectModel
     numpy (``_bend``), and the plant is left in its last step's state.  A
     ``dt`` the plant refuses raises its error before any step.
     """
-    if dt <= 0.0 or dt > plant_obj.tau_p / 2.0:
-        plant_obj.step(0.0, dt)  # raises FingerPlant.step's error
+    plant_obj.check_dt(dt)
     rate, k_duty = dt / plant_obj.tau_p, plant_obj.k_duty
     pressure = plant_obj.pressure
     pressures = array("d")
@@ -275,7 +264,7 @@ def _open_loop(plant_obj: FingerPlant, duties: list, dt: float, obj: ObjectModel
             pressure = 0.0
         pressures.append(pressure)
     pressures = np.array(pressures)
-    contact = None if obj is None else _contact(plant_obj.finger_stiffness, obj)
+    contact = None if obj is None else contact_split(plant_obj.finger_stiffness, obj)
     with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
         angles, forces = _bend(pressures, plant_obj.bend_gain, plant_obj.angle_max, contact)
     if duties:
@@ -317,14 +306,6 @@ def _raised(check: Callable, *args) -> Exception:
     except (SoftgripError, ValueError) as exc:
         return exc
     raise RuntimeError(f"the batch and {check.__qualname__} disagree on {args}")
-
-
-def _angle_bounds(model: PolynomialModel, margin: float) -> tuple:
-    """The angles ``internal_force`` accepts for ``model``, as (lo, hi)."""
-    if model.angle_min is None or model.angle_max is None:
-        return -math.inf, math.inf
-    slack = margin * (model.angle_max - model.angle_min)
-    return model.angle_min - slack, model.angle_max + slack
 
 
 def _weight_columns(models: list) -> list:
@@ -371,9 +352,9 @@ class Lanes:
         self.true_columns = _weight_columns([plant.internal_model for plant in plants])
         self.fit_columns = _weight_columns(models)
         self.margin = cfg.supervisor.extrapolation_margin
-        self.lo, self.hi = np.array([_angle_bounds(m, self.margin) for m in models]).T
+        self.lo, self.hi = np.array([calibrated_range(m, self.margin) for m in models]).T
         # (position, stiffness, share), one array each over the lanes
-        contacts = [_contact(p.finger_stiffness, o) for o in objs]
+        contacts = [contact_split(p.finger_stiffness, o) for o in objs]
         self.contact = tuple(np.array(column, dtype=float) for column in zip(*contacts))
         # one array each, so an in-place write to one leaves the others alone
         self.pressure, self.angle, self.contact_force = (np.zeros(self.n) for _ in range(3))
@@ -443,8 +424,7 @@ def simulate_lanes(
     runs after the step.  A lane's first error ends its group with the tick.
     """
     dt = cfg.controller.period
-    if dt <= 0.0 or dt > lanes.tau_p / 2.0:
-        lanes.plants[0].step(0.0, dt)  # raises FingerPlant.step's error
+    lanes.plants[0].check_dt(dt)
     with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
         lanes.step(lanes.duty, dt, free=True)
         for i in range(n_ticks):
@@ -530,22 +510,22 @@ def _closed_loop(
     trace is the one the reference tick loop records bit for bit, and an
     error is raised on the tick, and with the message, that it would raise.
     """
+    dt = cfg.controller.period
+    plant_obj.step(duty, dt)  # raises FingerPlant.step's error for a bad dt
     # built once, with the checks the reference makes when it builds them
     sc = cfg.supervisor
     detector = None if force_mode else ContactDetector(sc.contact_threshold, sc.hysteresis_ratio)
     ctrl = _build_controller(cfg)
-    dt = ctrl.period
-    plant_obj.step(duty, dt)  # raises FingerPlant.step's error for a bad dt
     sense = plant_obj.sense
     true_weights = tuple(reversed(plant_obj.internal_model.weights))
     fit_weights = tuple(reversed(model.weights))
     margin = cfg.supervisor.extrapolation_margin
-    angle_lo, angle_hi = _angle_bounds(model, margin)
+    angle_lo, angle_hi = calibrated_range(model, margin)
     kp, ki, out_lo, out_hi = ctrl.kp, ctrl.ki, ctrl.output_min, ctrl.output_max
     approach_step = cfg.supervisor.approach_rate * dt
     rate, k_duty = dt / plant_obj.tau_p, plant_obj.k_duty
     bend_gain, angle_max = plant_obj.bend_gain, plant_obj.angle_max
-    position, stiffness, share = _contact(plant_obj.finger_stiffness, obj)
+    position, stiffness, share = contact_split(plant_obj.finger_stiffness, obj)
     pressure, angle, contact_true = plant_obj.pressure, plant_obj.angle, plant_obj.contact_force
     integral = 0.0
     switch_at = 0 if force_mode else None
@@ -1014,7 +994,8 @@ def probe_hardness(cfg: Config, stiffness: float | None, seed: int, models) -> H
 
     ``stiffness`` None means a free-space probe, which yields no
     classification (guard: no contact, nothing to classify); so do fewer
-    than 20 points in contact, or points with one estimated force.
+    than 20 points in contact, a probe whose estimate never reaches the
+    contact detector's threshold, or points with one estimated force.
 
     The ramp is fixed in advance, so after one free-space step at duty 0
     ``_open_loop`` steps the whole probe, and each tick then reads the state
@@ -1046,13 +1027,15 @@ def probe_hardness(cfg: Config, stiffness: float | None, seed: int, models) -> H
             points.append((estimate.contact, reading.angle_meas))
     columns = duties, pressures.tolist(), angles.tolist(), f_m, internals, estimates, contact.tolist()
     trace = Trace([i * dt for i in range(n)], *columns, ["probe"] * n)
-    if len(points) < 20:
+    forces = [p[0] for p in points]
+    touched = any(e >= cfg.supervisor.contact_threshold for e in estimates)  # as ContactDetector fires
+    if len(points) < 20 or not touched or min(forces) == max(forces):
         return HardnessResult(classification=None, slope_deg_per_n=None, trace=trace)
     # least-squares slope of angle against estimated force
-    mf = sum(p[0] for p in points) / len(points)
+    mf = sum(forces) / len(points)
     ma = sum(p[1] for p in points) / len(points)
-    sxx = sum((p[0] - mf) ** 2 for p in points)
-    if sxx == 0.0:  # every point reads one force: no slope to fit
+    sxx = sum((f - mf) ** 2 for f in forces)
+    if sxx == 0.0:  # tiny forces whose squared deviations underflow: no slope to fit
         return HardnessResult(classification=None, slope_deg_per_n=None, trace=trace)
     slope = sum((p[0] - mf) * (p[1] - ma) for p in points) / sxx
     classification = "stiff" if slope < hc.slope_threshold else "soft"

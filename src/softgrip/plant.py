@@ -78,6 +78,14 @@ class ObjectModel:
             raise ValueError("hold_requirement must be >= 0")
 
 
+def contact_split(finger_stiffness: float, obj: ObjectModel) -> tuple:
+    """(position, stiffness, share) of ``obj`` against a finger: ``share`` is
+    the finger's part of a bend past the position, the finger and the object
+    yielding in series."""
+    k_f, stiffness = finger_stiffness, obj.stiffness
+    return obj.position_angle, stiffness, k_f / (k_f + stiffness) if stiffness > 0.0 else 1.0
+
+
 class GaussStream:
     """The values ``rng.gauss(0.0, 1.0)`` would return, in order, drawn a
     block at a time.
@@ -181,10 +189,12 @@ class FingerPlant:
         self._filter_state: float | None = None
         self._stepped = False
 
-    @property
-    def rng(self) -> random.Random:
-        """The generator the sensor noise is drawn from."""
-        return self.noise.rng
+    def check_dt(self, dt: float) -> None:
+        """Raise ValueError unless ``step`` can integrate a tick of ``dt``."""
+        if dt <= 0.0:
+            raise ValueError("dt must be > 0")
+        if dt > self.tau_p / 2.0:
+            raise ValueError(f"dt {dt} exceeds tau_p/2 = {self.tau_p / 2.0} (explicit integration)")
 
     def step(self, duty: float, dt: float, obj: ObjectModel | None = None) -> None:
         """Advance the plant one tick under the given duty cycle (%).
@@ -195,21 +205,17 @@ class FingerPlant:
         bend splits between finger and object stiffness in series and the
         object's share becomes true contact force.
         """
-        if dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        if dt > self.tau_p / 2.0:
-            raise ValueError(f"dt {dt} exceeds tau_p/2 = {self.tau_p / 2.0} (explicit integration)")
+        self.check_dt(dt)
         self.pressure += (dt / self.tau_p) * (self.k_duty * duty - self.pressure)
         if self.pressure < 0.0:
             self.pressure = 0.0
         theta_free = min(self.bend_gain * self.pressure, self.angle_max)
         if obj is not None and theta_free > obj.position_angle:
-            k_f = self.finger_stiffness
-            share = k_f / (k_f + obj.stiffness) if obj.stiffness > 0.0 else 1.0
-            angle = obj.position_angle + (theta_free - obj.position_angle) * share
+            position, stiffness, share = contact_split(self.finger_stiffness, obj)
+            angle = position + (theta_free - position) * share
             # with a share near 1, rounding can put the sum an ulp past the free bend
             self.angle = theta_free if angle > theta_free else angle
-            self.contact_force = obj.stiffness * (self.angle - obj.position_angle)
+            self.contact_force = stiffness * (self.angle - position)
         else:
             self.angle = theta_free
             self.contact_force = 0.0

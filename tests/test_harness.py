@@ -11,7 +11,8 @@ Covers:
 - grasp sweep: exact percentage granularity, force-balance identity,
   deterministic tables, parallel == serial, a repeated set-point counted
   once per row
-- hardness: stiff/soft classification and the free-space guard
+- hardness: stiff/soft classification, and no classification in free
+  space, for points of one force, or without a detected contact
 - the tick kernel: calibration with and without a trace, early exit, and
   the module names the benchmark's tracer wraps
 """
@@ -22,7 +23,7 @@ import csv
 import pytest
 
 from softgrip import harness
-from softgrip.config import default_config
+from softgrip.config import config_from_dict, default_config
 from softgrip.harness import (
     Trace,
     compute_step_metrics,
@@ -243,6 +244,35 @@ def test_hardness_free_space_no_classification(cfg, models):
     res = probe_hardness(cfg, None, 3, models=models)
     assert res.classification is None
     assert res.slope_deg_per_n is None
+
+
+def test_hardness_points_of_one_force_no_classification():
+    # noise off, no filter lag, no ramp, the object behind the rest angle: every
+    # estimate reads one force, above the contact threshold.  The mean of the
+    # equal forces is not exactly equal to them, so their spread is not 0.
+    cfg = config_from_dict(
+        {
+            "seed": 0,
+            "plant": {"noise_sigma": 0.0, "angle_noise_sigma": 0.0, "filter_alpha": 1.0},
+            "hardness": {"ramp_rate": 0.0, "min_contact_force": 0.0, "position_angle": -8.0},
+        }
+    )
+    res = run_hardness_probe(cfg)["stiff"]
+    points = [f for f in res.trace.f_c_est if f > 0.0]
+    assert len(points) >= 20 and len(set(points)) == 1
+    assert points[0] >= cfg.supervisor.contact_threshold
+    assert (res.classification, res.slope_deg_per_n) == (None, None)
+
+
+def test_hardness_without_a_detected_contact_no_classification():
+    # the object lies past the finger's reach: the true force is 0 on every
+    # tick, but noisy free-space estimates above a 0 N floor count as points
+    cfg = config_from_dict({"hardness": {"min_contact_force": 0.0, "position_angle": 200.0}})
+    for res in run_hardness_probe(cfg).values():
+        assert set(res.trace.f_c_true) == {0.0}
+        assert sum(f > 0.0 for f in res.trace.f_c_est) >= 20
+        assert max(res.trace.f_c_est) < cfg.supervisor.contact_threshold
+        assert (res.classification, res.slope_deg_per_n) == (None, None)
 
 
 def test_step_metrics_unsettled_overshoot_covers_segment():

@@ -101,15 +101,24 @@ def test_open_loop_steps_as_finger_plant_step(params, obj, duties, start, dt_sha
 
 @pytest.mark.parametrize("dt", [0.0, -0.01, 0.02])
 def test_open_loop_refuses_the_plant_s_bad_dt(dt):
+    """Every kernel raises ``FingerPlant.step``'s error before any step."""
     params = {"tau_p": 0.03}
+    cfg = config_from_dict({"plant": params, "controller": {"period": dt}})
+    model, obj = PolynomialModel(0, (0.0,)), ObjectModel(10.0, 0.1)
+    kernels = (
+        lambda p: p.step(50.0, dt),
+        lambda p: harness._open_loop(p, [50.0], dt),
+        lambda p: harness.simulate_lanes(cfg, harness.Lanes(cfg, [p], [model], [obj]), 1, lambda i, c: c),
+        lambda p: harness._closed_loop(cfg, p, model, obj, [1.0], 50.0, force_mode=True),
+    )
     errors = []
-    for step in (lambda p: harness._open_loop(p, [50.0], dt), lambda p: p.step(50.0, dt)):
+    for step in kernels:
         plant_obj = fresh_plant(params, 0.0)
         with pytest.raises(ValueError) as info:
             step(plant_obj)
         errors.append(str(info.value))
         assert state(plant_obj) == state(fresh_plant(params, 0.0))
-    assert errors[0] == errors[1]
+    assert errors == errors[:1] * len(kernels)
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +145,13 @@ def oracle_probe_hardness(cfg, stiffness, seed, models) -> HardnessResult:
         trace_row(trace, plant_obj, i * dt, duty, reading, estimate, "probe")
 
     simulate(cfg, [Lane(plant_obj, models[0], obj, duty, ramp, record)], int(round(hc.duration_s / dt)))
-    if len(points) < 20:
+    touched = any(e >= cfg.supervisor.contact_threshold for e in trace.f_c_est)
+    if len(points) < 20 or not touched or len({p[0] for p in points}) == 1:
         return HardnessResult(classification=None, slope_deg_per_n=None, trace=trace)
     mf = sum(p[0] for p in points) / len(points)
     ma = sum(p[1] for p in points) / len(points)
     sxx = sum((p[0] - mf) ** 2 for p in points)
-    if sxx == 0.0:  # every point reads one force: no slope to fit
+    if sxx == 0.0:  # squares that underflow: no slope to fit
         return HardnessResult(classification=None, slope_deg_per_n=None, trace=trace)
     slope = sum((p[0] - mf) * (p[1] - ma) for p in points) / sxx
     classification = "stiff" if slope < hc.slope_threshold else "soft"
