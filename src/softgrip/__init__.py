@@ -28,7 +28,7 @@ from .calibration import (
 )
 from .control import PiController, Supervisor, positional_pi
 from .estimation import ContactDetector, ContactEstimate, contact_force, internal_force
-from .plant import FingerPlant, ObjectModel, SensorReadings, shake_test
+from .plant import FingerPlant, ObjectModel, shake_test
 
 __all__ = [
     "CalibrationReport",
@@ -39,7 +39,6 @@ __all__ = [
     "PiController",
     "PolynomialModel",
     "Sample",
-    "SensorReadings",
     "Supervisor",
     "bic_score",
     "contact_force",

@@ -351,6 +351,12 @@ def validate(cfg: Config) -> list[str]:
         errs.append("calibration.levels: must exceed calibration.max_degree")
     if len(pc.finger_scales) != 3:
         errs.append("plant.finger_scales: must list exactly 3 factors")
+    # calibration squares the forces; Horner on |weights| bounds them over bends 0..angle_max
+    scale, force = max(map(abs, pc.finger_scales), default=0), 0.0
+    for w in reversed(pc.internal_weights):
+        force = force * pc.angle_max + abs(w) * scale
+    if math.isfinite(pc.angle_max) and force > 1e100:
+        errs.append("plant.internal_weights: must keep the internal force within 1e100 N at any bend")
     for where, items in (
         ("plant.internal_weights", pc.internal_weights),
         ("estimation.positions", cfg.estimation.positions),

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .calibration import PolynomialModel
 from .errors import OutOfRangeError
-from .plant import SensorReadings
 
 DEFAULT_CONTACT_THRESHOLD = 0.2  # N, above the worst-case free-space estimation error
 DEFAULT_HYSTERESIS_RATIO = 0.5
@@ -59,13 +58,15 @@ def internal_force(
 
 
 def contact_force(
-    reading: SensorReadings,
+    reading: tuple,
     model: PolynomialModel,
     margin: float = DEFAULT_EXTRAPOLATION_MARGIN,
 ) -> ContactEstimate:
-    """Contact = measured - predicted internal force (sign preserved)."""
-    internal = internal_force(model, reading.angle_meas, margin)
-    return ContactEstimate(contact=reading.force_meas - internal, internal=internal)
+    """Contact = measured - predicted internal force (sign preserved), from
+    ``FingerPlant.sense``'s pair (angle_meas, force_meas)."""
+    angle_meas, force_meas = reading
+    internal = internal_force(model, angle_meas, margin)
+    return ContactEstimate(contact=force_meas - internal, internal=internal)
 
 
 class ContactDetector:

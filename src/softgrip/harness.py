@@ -33,19 +33,19 @@ against: ``simulate``, a tick loop that steps a few fingers one Python call
 at a time (``FingerPlant.step``, ``FingerPlant.sense``, ``contact_force``,
 and a policy closure that can drive a real ``Supervisor`` and
 ``PiController``).  Each kernel wins over it where it is used.  On a 2-CPU
-VM (Python 3.11, numpy 2.4; medians of 5 in-process runs) the default grasp
-sweep took 0.17 s batched against 0.76 s on the reference, and the
-estimation sweep 0.066 s against 0.13 s: a run of one or two lanes would
-not gain, as per-tick numpy calls cost more than a few lanes' Python calls.
-The step response took 0.15 s on ``_closed_loop`` against 0.41 s on the
-reference, and the switching experiment 0.040 s against 0.108 s (medians
-over 5 alternating rounds of the minimum of 5 runs).  Most of the time left
-on every kernel is the ``FingerPlant.sense`` calls, though their noise comes
-in blocks (``plant.GaussStream``).  ``tests/test_open_loop.py``,
+VM (Python 3.11, numpy 2.4; medians over 5 in-process rounds of the minimum
+of 3 runs) the default grasp sweep took 0.27 s batched against 1.7 s trial
+by trial on the reference, and the estimation sweep 0.14 s against 0.35 s:
+a run of one or two lanes would not gain, as per-tick numpy calls cost more
+than a few lanes' Python calls.  The step response took 0.075 s on
+``_closed_loop`` against 0.20 s on the reference, and the switching
+experiment 0.019 s against 0.054 s.  Most of the time left on every kernel
+is the ``FingerPlant.sense`` calls, about 0.45 us each over 540 plants,
+though their noise comes in blocks (``plant.GaussStream``) and each returns
+a plain pair.  ``tests/test_open_loop.py``,
 ``tests/test_open_loop_calibration.py``, ``tests/test_closed_loop.py`` and
 ``tests/test_batch.py`` check the kernels against the reference.
-``BENCH_6.json``, ``BENCH_8.json``, ``BENCH_9.json`` and ``BENCH_10.json``
-hold the benchmark's before/after records.
+The committed ``BENCH_*.json`` files hold the benchmark's before/after records.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from array import array
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 from typing import Callable
 
@@ -293,9 +293,10 @@ def _senses(plant_obj: FingerPlant, angles: np.ndarray, contact: np.ndarray):
 # every lane keeps its FingerPlant (sensor filter, and a noise stream of
 # about 7 kB unless it shares one) until its batch ends, so the sweeps run in
 # batches of at most this many and memory stays flat as they grow.  The
-# default grasp sweep (540 lanes) took 0.45, 0.27, 0.20, 0.18 and 0.15 s in
-# batches of 45, 90, 180, 270 and 540 lanes (2-CPU VM, Python 3.11, numpy 2.4).
-BATCH_LANES = 270
+# default grasp sweep (540 lanes) runs as one batch: in-process it took 0.57,
+# 0.44, 0.45 and 0.32 s in batches of 90, 180, 270 and 540 lanes (2-CPU VM,
+# Python 3.11, numpy 2.4; medians of 5 alternating rounds, twice).
+BATCH_LANES = 540
 
 
 def _raised(check: Callable, *args) -> Exception:
@@ -333,12 +334,12 @@ class Lanes:
     Built from the FingerPlants ``_build_plant`` returns, which share
     ``cfg.plant``'s parameters and bring their own internal model, noise
     stream and sensor filter, plus each lane's fitted model and object.  The
-    lanes hold the mechanical state and each plant reads its own sensors
-    from it, so every lane-tick is one ``FingerPlant.sense`` call, as on the
-    reference tick loop.  Every other operation repeats the scalar one in
-    the same order (Python's ``max(a, b)`` is ``np.where(b > a, b, a)``), so
-    a lane reproduces its reference run bit for bit.  ``group`` numbers the
-    lanes that fail together, such as a grasp trial's fingers.
+    lanes hold the mechanical state, and each lane-tick is one call of the
+    lane's ``FingerPlant.sense`` on that state, returning the pair
+    (angle_meas, force_meas), as on the reference tick loop.  Every other operation
+    repeats the scalar one in order (Python's ``max(a, b)`` is
+    ``np.where(b > a, b, a)``), so a lane reproduces its reference run bit
+    for bit.  ``group`` numbers the lanes that fail together (a grasp trial's fingers).
     """
 
     def __init__(self, cfg: Config, plants: list, models: list, objs: list, group=None):
@@ -393,14 +394,14 @@ class Lanes:
         self.contact_force = np.where(alive, force, self.contact_force)
 
     def sense(self) -> tuple:
-        """``FingerPlant.sense`` of every alive lane, given the true state the
-        lanes hold: (force_meas, angle_meas), the last values for the others."""
+        """``FingerPlant.sense``'s (angle_meas, force_meas) of every alive lane,
+        given the true state the lanes hold, returned as ``estimate`` takes
+        them: (force_meas, angle_meas) arrays, the last values for the others."""
         live = np.flatnonzero(self.alive)
         force = _horner(self.true_columns, self.angle) + self.contact_force
         plants = self.plants if len(live) == self.n else [self.plants[k] for k in live]
-        readings = list(map(FingerPlant.sense, plants, self.angle[live].tolist(), force[live].tolist()))
-        self.force_meas[live] = [r.force_meas for r in readings]
-        self.angle_meas[live] = [r.angle_meas for r in readings]
+        angles, forces = self.angle[live].tolist(), force[live].tolist()
+        self.angle_meas[live], self.force_meas[live] = zip(*map(FingerPlant.sense, plants, angles, forces))
         return self.force_meas, self.angle_meas
 
     def estimate(self, force_meas: np.ndarray, angle_meas: np.ndarray) -> np.ndarray:
@@ -534,8 +535,7 @@ def _closed_loop(
         force = 0.0
         for w in true_weights:
             force = force * angle + w
-        reading = sense(angle, force + contact_true)
-        angle_meas, force_meas = reading.angle_meas, reading.force_meas
+        angle_meas, force_meas = sense(angle, force + contact_true)
         if angle_meas < angle_lo or angle_meas > angle_hi:
             raise _raised(internal_force, model, angle_meas, margin)
         internal = 0.0
@@ -637,15 +637,14 @@ def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = Fal
             ends += [False] * (ticks - 1) + [True]
     pressures, angles, contact = _open_loop(plant_obj, duties, dt)
     readings = _senses(plant_obj, angles, contact)
-    if with_trace:
-        readings = list(readings)
-    samples = [Sample(r.angle_meas, r.force_meas) for r in compress(readings, ends)]
     if not with_trace:
-        return samples, None
+        return [Sample(*r) for r in compress(readings, ends)], None
     n = len(duties)
-    f_m = np.array([r.force_meas for r in readings])
-    angle_meas = np.array([r.angle_meas for r in readings])
-    del readings  # one object per tick: freed before the trace's columns are built
+    # one float row (angle_meas, force_meas) per tick, not one tuple per tick
+    pairs = np.fromiter(chain.from_iterable(readings), float, 2 * n).reshape(n, 2)
+    del readings  # stopped at the count, unfinished: it holds its force array until freed
+    samples = [Sample(*r) for r in pairs[np.flatnonzero(ends)].tolist()]
+    angle_meas, f_m = pairs.T
     with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
         internal = _horner(_weight_columns([plant_obj.internal_model]), angle_meas)
         internal = np.where(internal > 0.0, internal, 0.0)
@@ -1018,13 +1017,13 @@ def probe_hardness(cfg: Config, stiffness: float | None, seed: int, models) -> H
     # tick i senses the state the step before it left
     readings = _senses(plant_obj, np.append(angle0, angles)[:n], np.append(contact0, contact)[:n])
     f_m, internals, estimates, points = [], [], [], []
-    for reading in readings:
-        estimate = contact_force(reading, model, margin)
-        f_m.append(reading.force_meas)
+    for angle_meas, force_meas in readings:
+        estimate = contact_force((angle_meas, force_meas), model, margin)
+        f_m.append(force_meas)
         internals.append(estimate.internal)
         estimates.append(estimate.contact)
         if estimate.contact > hc.min_contact_force:
-            points.append((estimate.contact, reading.angle_meas))
+            points.append((estimate.contact, angle_meas))
     columns = duties, pressures.tolist(), angles.tolist(), f_m, internals, estimates, contact.tolist()
     trace = Trace([i * dt for i in range(n)], *columns, ["probe"] * n)
     forces = [p[0] for p in points]

@@ -139,14 +139,6 @@ class GaussStream:
         self.block = array("d", z.tobytes())
 
 
-@dataclass(slots=True)
-class SensorReadings:
-    """One tick's sensor outputs: measured angle (deg) and filtered force (N)."""
-
-    angle_meas: float
-    force_meas: float
-
-
 class FingerPlant:
     """One simulated finger, owned and stepped by a single control loop."""
 
@@ -221,8 +213,11 @@ class FingerPlant:
             self.contact_force = 0.0
         self._stepped = True
 
-    def sense(self, angle: float | None = None, force: float | None = None) -> SensorReadings:
-        """Read the sensors for the current state.
+    def sense(self, angle: float | None = None, force: float | None = None) -> tuple:
+        """Read the sensors for the current state: the pair (angle_meas,
+        force_meas), the measured bend angle (deg) then the filtered force
+        (N), as Python floats given floats.  A plain tuple, since every
+        finger-tick reads one.
 
         raw force = max(0, internal(angle) + contact + noise) -- the FSR
         cannot read negative.  The filter state initializes on the first
@@ -261,7 +256,7 @@ class FingerPlant:
             angle += 0.0 + values[k] * sigma
             k += 1
         self._k = k
-        return SensorReadings(angle, raw)
+        return angle, raw
 
     def _next_block(self) -> tuple:
         """Move on to the stream's block after this plant's: (block, 0)."""

@@ -68,7 +68,7 @@ def trace_row(trace: Trace, plant_obj: FingerPlant, t, duty, reading, estimate, 
         duty,
         plant_obj.pressure,
         plant_obj.angle,
-        reading.force_meas,
+        reading[1],
         estimate.internal,
         estimate.contact,
         plant_obj.contact_force,

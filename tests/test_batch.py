@@ -12,7 +12,8 @@ The strategies reach noise sigma 0, object stiffness 0, ``output_min > 0``,
 fingers whose models have different degrees, models without a calibrated
 range, grasps that bend out of range, and estimation cells that time out,
 flag "unreachable" or bend out of range.  Pinned configs check sweeps
-split into smaller batches, and empty sweeps.  Sizes stay small (a cheap
+split into smaller batches, the default grasp sweep in one batch of 540
+lanes against two of 270, and empty sweeps.  Sizes stay small (a cheap
 calibration, at most 8 grasp trials of at most 2 s) so the file runs in
 seconds.
 
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 
 from softgrip import harness
 from softgrip.calibration import PolynomialModel
-from softgrip.config import config_from_dict, validate
+from softgrip.config import config_from_dict, default_config, validate
 from softgrip.errors import NonFiniteError, OutOfRangeError, SoftgripError
 from softgrip.harness import GraspOutcome, EstimationRow
 from softgrip.plant import NOISE_BLOCK, FingerPlant, ObjectModel
@@ -402,6 +403,26 @@ def test_sweeps_in_small_batches_match_one_batch(monkeypatch, spec, lanes):
     assert sweeps() == whole
 
 
+def test_default_grasp_sweep_in_one_batch_matches_two(monkeypatch):
+    # one batch holds every set-point's lanes of a plant seed, which share a noise stream
+    cfg = default_config()
+    models = harness.calibrate_models(cfg)
+    real, batches = harness._grasp_outcomes, []
+
+    def counted(cfg, master, models, trials):
+        batches.append(len(trials))
+        return real(cfg, master, models, trials)
+
+    monkeypatch.setattr(harness, "_grasp_outcomes", counted)
+    sweeps = {}
+    for lanes in (540, 270):
+        monkeypatch.setattr(harness, "BATCH_LANES", lanes)
+        sweeps[lanes] = run(harness.run_grasp_sweep, cfg, None, 1, models)
+    assert batches == [180, 90, 90]
+    assert sweeps[540] == sweeps[270]
+    assert sweeps[540][1] is None
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_empty_sweeps_return_nothing(jobs):
     cfg = build(NOISELESS)
@@ -495,8 +516,8 @@ def test_a_shared_stream_read_out_of_order_raises():
     behind.noise = ahead.noise
 
     def reading(plant):
-        r = plant.sense(10.0, 1.0)
-        return r.angle_meas.hex(), r.force_meas.hex()
+        angle_meas, force_meas = plant.sense(10.0, 1.0)
+        return angle_meas.hex(), force_meas.hex()
 
     for _ in range(300):  # in lockstep, two values per sense: into the stream's second block
         assert reading(ahead) == reading(behind) == reading(alone)

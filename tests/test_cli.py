@@ -151,6 +151,11 @@ def test_validate_unknown_key_exit_2(tmp_path, capsys):
     + [
         # a negative threshold counts free-space readings as contact
         ({"hardness.min_contact_force": -1.0}, [], "hardness.min_contact_force"),
+    ]
+    + [
+        # an internal force whose squares overflow calibration's sums, or that is inf
+        ({"plant.internal_weights": [1e200, 1]}, [], "plant.internal_weights"),
+        ({"plant.internal_weights": [1e308, 1e308]}, [], "plant.internal_weights"),
     ],
 )
 def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args, field):

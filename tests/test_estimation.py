@@ -24,7 +24,7 @@ from softgrip.estimation import (
     internal_force,
 )
 from softgrip.harness import _build_plant
-from softgrip.plant import FingerPlant, SensorReadings
+from softgrip.plant import FingerPlant
 
 
 def truth_model(finger=0):
@@ -81,20 +81,20 @@ def test_unranged_model_never_range_errors():
 
 def test_contact_force_subtraction_and_audit_field():
     model = PolynomialModel(1, (0.0, 0.01))
-    est = contact_force(SensorReadings(angle_meas=50.0, force_meas=1.5), model)
+    est = contact_force((50.0, 1.5), model)
     assert est.internal == pytest.approx(0.5)
     assert est.contact == pytest.approx(1.0)
 
 
 def test_contact_force_zero_in_free_space():
     model = PolynomialModel(1, (0.0, 0.01))
-    est = contact_force(SensorReadings(angle_meas=50.0, force_meas=0.5), model)
+    est = contact_force((50.0, 0.5), model)
     assert est.contact == pytest.approx(0.0, abs=1e-15)
 
 
 def test_negative_estimates_preserved():
     model = PolynomialModel(0, (1.0,))
-    est = contact_force(SensorReadings(angle_meas=0.0, force_meas=0.2), model)
+    est = contact_force((0.0, 0.2), model)
     assert est.contact == pytest.approx(-0.8)
 
 
@@ -105,8 +105,8 @@ def test_linearity_in_measured_force():
         angle = rng.uniform(0, 180)
         base = rng.uniform(0, 5)
         delta = rng.uniform(-2, 2)
-        a = contact_force(SensorReadings(angle, base), model).contact
-        b = contact_force(SensorReadings(angle, base + delta), model).contact
+        a = contact_force((angle, base), model).contact
+        b = contact_force((angle, base + delta), model).contact
         assert b - a == pytest.approx(delta, abs=1e-12)
 
 
@@ -157,8 +157,8 @@ def _free_space_run(seed: int, duration_s: float = 10.0):
         elif t > 6.0:
             duty = max(0.0, duty - 20.0 * dt)
         plant.step(duty, dt)
-        reading = plant.sense()
-        estimates.append(reading.force_meas - max(0.0, model.predict(reading.angle_meas)))
+        angle_meas, force_meas = plant.sense()
+        estimates.append(force_meas - max(0.0, model.predict(angle_meas)))
     return estimates
 
 

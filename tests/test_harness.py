@@ -15,12 +15,19 @@ Covers:
   space, for points of one force, or without a detected contact
 - the tick kernel: calibration with and without a trace, early exit, and
   the module names the benchmark's tracer wraps
+- over generated small configs, every number in the calibration, step,
+  switching and hardness traces is a Python float (a numpy scalar's repr
+  would reach the CSV), and ``FingerPlant.sense`` returns a tuple of two
+  floats
 """
 
 import copy
 import csv
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softgrip import harness
 from softgrip.config import config_from_dict, default_config
@@ -36,6 +43,7 @@ from softgrip.harness import (
     run_step_response,
     run_switching_experiment,
 )
+from softgrip.plant import FingerPlant
 
 from reference import Lane, simulate
 
@@ -302,6 +310,53 @@ def test_calibrate_finger_trace_is_optional(cfg):
     dwell_ticks = (2 * cal.levels - 1) * round(cal.hold_s / dt) + round(cal.rest_s / dt)
     assert len(trace) == cal.cycles * dwell_ticks
     assert set(trace.mode) == {"calibrate"}
+
+
+def zero_or_up_to(hi: float):
+    return st.one_of(st.just(0.0), st.floats(0.0, hi))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    noise_sigma=zero_or_up_to(0.1),
+    angle_noise_sigma=zero_or_up_to(0.2),
+    filter_alpha=st.one_of(st.just(1.0), st.floats(0.3, 1.0)),
+    warm_start=zero_or_up_to(10.0),
+)
+def test_traces_and_senses_hold_python_floats(seed, noise_sigma, angle_noise_sigma, filter_alpha, warm_start):
+    cfg = config_from_dict(
+        {
+            "seed": seed,
+            "plant": {
+                "noise_sigma": noise_sigma,
+                "angle_noise_sigma": angle_noise_sigma,
+                "filter_alpha": filter_alpha,
+            },
+            "calibration": {"cycles": 2, "levels": 8},
+            "step": {"n_seeds": 1, "segment_s": 1.0, "warm_start_duty": warm_start},
+            "switching": {"n_seeds": 1, "duration_s": 2.0},
+            "hardness": {"duration_s": 4.0},
+        }
+    )
+    real, readings = FingerPlant.sense, set()
+
+    def sense(self, *args):
+        reading = real(self, *args)
+        readings.add((type(reading), len(reading), *map(type, reading)))
+        return reading
+
+    with mock.patch.object(FingerPlant, "sense", sense):
+        calibration = run_calibration_experiment(cfg, with_trace=True)
+        models = [report.selected() for report in calibration.reports]
+        traces = list(calibration.traces)
+        traces += [r.trace for r in run_step_response(cfg, models=models)]
+        traces += [r.trace for r in run_switching_experiment(cfg, models=models)]
+        traces += [r.trace for r in run_hardness_probe(cfg, models=models).values()]
+    assert readings == {(tuple, 2, float, float)}
+    for trace in traces:
+        *numbers, modes = vars(trace).values()
+        assert all(type(v) is float for column in numbers for v in column)
 
 
 def test_simulate_stops_before_stepping_when_policy_returns_none(cfg):

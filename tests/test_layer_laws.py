@@ -163,9 +163,9 @@ def test_sensor_filter_follows_its_recurrence(alpha, readings):
     for angle, force in readings:
         raw = max(0.0, force)
         state = raw if state is None else state + alpha * (raw - state)
-        reading = plant_obj.sense(angle, force)
-        assert reading.force_meas == state
-        assert reading.angle_meas == angle
+        angle_meas, force_meas = plant_obj.sense(angle, force)
+        assert force_meas == state
+        assert angle_meas == angle
 
 
 # ---------------------------------------------------------------------------

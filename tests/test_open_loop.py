@@ -137,7 +137,7 @@ def oracle_probe_hardness(cfg, stiffness, seed, models) -> HardnessResult:
     def ramp(i, reading, estimate):
         nonlocal duty
         if estimate.contact > hc.min_contact_force:
-            points.append((estimate.contact, reading.angle_meas))
+            points.append((estimate.contact, reading[0]))
         duty = min(hc.max_duty, duty + hc.ramp_rate * dt)
         return duty
 

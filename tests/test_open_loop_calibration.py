@@ -68,7 +68,7 @@ def oracle_calibrate_finger(cfg, finger, seed, with_trace=False) -> tuple:
             trace_row(trace, plant_obj, t, schedule[i], reading, estimate, "calibrate")
             t += dt
         if i in sample_ticks:
-            samples.append(Sample(reading.angle_meas, reading.force_meas))
+            samples.append(Sample(*reading))
         return schedule[i + 1]
 
     model = plant_obj.internal_model if with_trace else None
