@@ -131,12 +131,19 @@ def fit_polynomial(samples: list[Sample], degree: int) -> PolynomialModel:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("samples must be finite")
 
-    X = _design_matrix(x, degree)
-    norms = np.linalg.norm(X, axis=0)
-    norms[norms == 0.0] = 1.0
-    Xs = X / norms
-    G = Xs.T @ Xs
-    if np.linalg.cond(G) > _COND_LIMIT:
+    # the powers of huge angles overflow to inf, and their scaled columns to
+    # NaN, which fails the rank test as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _design_matrix(x, degree)
+        norms = np.linalg.norm(X, axis=0)
+        norms[norms == 0.0] = 1.0
+        Xs = X / norms
+        G = Xs.T @ Xs
+        try:
+            condition = np.linalg.cond(G)
+        except np.linalg.LinAlgError:  # the SVD gives up on NaN
+            condition = math.nan
+    if not condition <= _COND_LIMIT:
         raise RankDeficientError(
             f"design matrix rank deficient for degree {degree} "
             "(angles carry too few distinct values?)"

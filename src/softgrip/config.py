@@ -47,6 +47,9 @@ _NON_NEGATIVE = _Bound("must be >= 0", lambda v: v >= 0)
 _UNIT = _Bound("must be in [0, 1]", lambda v: 0 <= v <= 1)
 _UNIT_OPEN_BELOW = _Bound("must be in (0, 1]", lambda v: 0 < v <= 1)
 _AT_LEAST_ONE = _Bound("must be >= 1", lambda v: v >= 1)
+# the squares of noisier force readings overflow calibration's sums, and the
+# powers of noisier angles its fit
+_NOISE = _Bound("must be in [0, 1e100]", lambda v: 0 <= v <= 1e100)
 _DUTY = _Bound(f"must be <= {plant.MAX_DUTY:g} (the PWM duty ceiling)", lambda v: v <= plant.MAX_DUTY)
 # a failure threshold of inf means the object never deforms or breaks
 _THRESHOLD = _Bound("must be > 0", lambda v: v > 0, admits_inf=True)
@@ -77,8 +80,8 @@ class PlantConfig:
     bend_gain: float = _bounded(plant.DEFAULT_BEND_GAIN, _POSITIVE)
     angle_max: float = _bounded(plant.DEFAULT_ANGLE_MAX, _POSITIVE)
     finger_stiffness: float = _bounded(plant.DEFAULT_FINGER_STIFFNESS, _POSITIVE)
-    noise_sigma: float = _bounded(plant.DEFAULT_NOISE_SIGMA, _NON_NEGATIVE)
-    angle_noise_sigma: float = _bounded(plant.DEFAULT_ANGLE_NOISE_SIGMA, _NON_NEGATIVE)
+    noise_sigma: float = _bounded(plant.DEFAULT_NOISE_SIGMA, _NOISE)
+    angle_noise_sigma: float = _bounded(plant.DEFAULT_ANGLE_NOISE_SIGMA, _NOISE)
     filter_alpha: float = _bounded(plant.DEFAULT_FILTER_ALPHA, _UNIT_OPEN_BELOW)
     internal_weights: list = field(default_factory=lambda: list(plant.DEFAULT_INTERNAL_WEIGHTS))
     finger_scales: list = field(default_factory=lambda: list(plant.DEFAULT_FINGER_SCALES))

@@ -15,8 +15,10 @@ Three tick kernels step the experiments, and give the same bits:
   config) and the hardness probe (2 runs of 480) use it.
 - ``_closed_loop`` steps one finger under the supervisor and its PI
   controller in plain floats, one tick per loop pass, with its state in
-  locals and its trace in column lists.  The step response (5 runs of 7,200
-  ticks) and the switching experiment (10 runs of 900) use it.
+  locals.  It lists only the trace columns the loop alone knows, and
+  derives the bend, the true contact and the estimate from them in numpy
+  after the loop.  The step response (5 runs of 7,200 ticks) and the
+  switching experiment (10 runs of 900) use it.
 - ``simulate_lanes`` steps lanes in lockstep as numpy arrays (``Lanes``),
   in batches of at most ``BATCH_LANES``.  The grasp sweep (540 lanes of 600
   ticks) and the estimation sweep (100 lanes that end early) use it.
@@ -27,6 +29,10 @@ limit and the calibrated range come from ``plant`` and ``estimation``.  On
 every kernel each finger reads its sensors through its own
 ``FingerPlant.sense``, which adds the finger's noise; the grasp lanes that
 share a plant seed read one noise stream.
+
+A trace holds its numbers as ``array('d')`` columns (``Trace``), a quarter
+of the memory of lists of floats, built from the kernels' numpy arrays as
+bytes or from the closed loop's lists once per run.
 
 ``tests/reference.py`` holds the reference model every kernel is checked
 against: ``simulate``, a tick loop that steps a few fingers one Python call
@@ -76,18 +82,29 @@ _TRACE_ROW = "%r," * (len(TRACE_HEADER) - 1) + "%s" + CSV_LINE_END
 SETTLING_BAND = 0.05  # StepMetrics' settling band, a fraction of the target
 
 
+def _floats():
+    """A trace column's field: a new, empty ``array('d')`` per trace."""
+    return field(default_factory=partial(array, "d"))
+
+
 @dataclass
 class Trace:
-    """Uniformly sampled run record; one row per control tick."""
+    """Uniformly sampled run record; one row per control tick.
 
-    t: list = field(default_factory=list)
-    duty: list = field(default_factory=list)
-    pressure: list = field(default_factory=list)
-    angle: list = field(default_factory=list)
-    f_m: list = field(default_factory=list)
-    f_i_pred: list = field(default_factory=list)
-    f_c_est: list = field(default_factory=list)
-    f_c_true: list = field(default_factory=list)
+    The eight numeric columns are ``array('d')``: 8 B per value, where a
+    list holds a 24 B float object and an 8 B slot for each.  ``mode`` is a
+    list of the few shared mode strings.  Reading a column yields Python
+    floats, so the metrics and ``to_csv`` read it as they would a list.
+    """
+
+    t: array = _floats()
+    duty: array = _floats()
+    pressure: array = _floats()
+    angle: array = _floats()
+    f_m: array = _floats()
+    f_i_pred: array = _floats()
+    f_c_est: array = _floats()
+    f_c_true: array = _floats()
     mode: list = field(default_factory=list)
 
     def append(self, t, duty, pressure, angle, f_m, f_i_pred, f_c_est, f_c_true, mode):
@@ -245,7 +262,18 @@ def _bend(pressure: np.ndarray, bend_gain: float, angle_max: float, contact: tup
     return angle, np.where(touch, stiffness * (angle - position), 0.0)
 
 
-def _open_loop(plant_obj: FingerPlant, duties: list, dt: float, obj: ObjectModel | None = None) -> tuple:
+def _column(values: np.ndarray) -> array:
+    """A float64 numpy array as a trace column, copied as bytes."""
+    return array("d", values.tobytes())
+
+
+def _tick_times(n: int, dt: float) -> array:
+    """``i * dt`` for the ticks ``i`` of a run: numpy converts each int to a
+    double and multiplies, as Python does."""
+    return _column(np.arange(n) * dt)
+
+
+def _open_loop(plant_obj: FingerPlant, duties: array, dt: float, obj: ObjectModel | None = None) -> tuple:
     """``FingerPlant.step(duty, dt, obj)`` for each duty of a schedule fixed in
     advance: (pressures, angles, contact forces) after each step, as float64
     arrays.
@@ -526,11 +554,12 @@ def _closed_loop(
     approach_step = cfg.supervisor.approach_rate * dt
     rate, k_duty = dt / plant_obj.tau_p, plant_obj.k_duty
     bend_gain, angle_max = plant_obj.bend_gain, plant_obj.angle_max
-    position, stiffness, share = contact_split(plant_obj.finger_stiffness, obj)
+    split = position, stiffness, share = contact_split(plant_obj.finger_stiffness, obj)
     pressure, angle, contact_true = plant_obj.pressure, plant_obj.angle, plant_obj.contact_force
     integral = 0.0
     switch_at = 0 if force_mode else None
-    columns = duties, pressures, angles, f_ms, internals, contacts, trues = [], [], [], [], [], [], []
+    # the columns the loop alone knows; the others follow from them after it
+    columns = duties, pressures, f_ms, internals = [], [], [], []
     for i, target in enumerate(targets):
         force = 0.0
         for w in true_weights:
@@ -579,15 +608,17 @@ def _closed_loop(
             angle, contact_true = theta, 0.0
         duties.append(duty)
         pressures.append(pressure)
-        angles.append(angle)
         f_ms.append(force_meas)
         internals.append(internal)
-        contacts.append(contact)
-        trues.append(contact_true)
+    duties, pressures, f_ms, internals = (array("d", column) for column in columns)
+    # the loop's bend, contact and estimate once more, in numpy with the same operations
+    with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
+        angles, trues = map(_column, _bend(np.frombuffer(pressures), bend_gain, angle_max, split))
+        contacts = _column(np.frombuffer(f_ms) - np.frombuffer(internals))
     n = len(targets)
     switch_at = n if switch_at is None else switch_at
     modes = [Mode.APPROACH.value] * switch_at + [Mode.FORCE_CONTROL.value] * (n - switch_at)
-    return Trace([i * dt for i in range(n)], *columns, modes)
+    return Trace(_tick_times(n, dt), duties, pressures, angles, f_ms, internals, contacts, trues, modes)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +653,7 @@ def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = Fal
     base_levels = [peak_duty * k / cal.levels for k in range(1, cal.levels + 1)]
     hold_ticks = max(1, int(round(cal.hold_s / dt)))
     rest_ticks = max(1, int(round(cal.rest_s / dt)))
-    duties = []  # duty per tick, each cycle up to the peak, back down, then rest
+    duties = array("d")  # duty per tick, each cycle up to the peak, back down, then rest
     ends = []  # per tick, True where its reading is a sample: each dwell's last tick
     for _ in range(cal.cycles):
         jittered = [
@@ -633,7 +664,7 @@ def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = Fal
         # start from rest stay inside the calibrated range
         dwells = [(duty, hold_ticks) for duty in jittered + jittered[-2::-1]] + [(0.0, rest_ticks)]
         for duty, ticks in dwells:
-            duties += [duty] * ticks
+            duties += array("d", (duty,)) * ticks
             ends += [False] * (ticks - 1) + [True]
     pressures, angles, contact = _open_loop(plant_obj, duties, dt)
     readings = _senses(plant_obj, angles, contact)
@@ -648,10 +679,10 @@ def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = Fal
     with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
         internal = _horner(_weight_columns([plant_obj.internal_model]), angle_meas)
         internal = np.where(internal > 0.0, internal, 0.0)
-        estimate = internal.tolist(), (f_m - internal).tolist()
-    times = list(accumulate(repeat(dt, n - 1), initial=0.0))
-    columns = duties, pressures.tolist(), angles.tolist(), f_m.tolist(), *estimate, contact.tolist()
-    return samples, Trace(times, *columns, ["calibrate"] * n)
+        estimate = f_m - internal
+    times = array("d", accumulate(repeat(dt, n - 1), initial=0.0))
+    columns = map(_column, (pressures, angles, f_m, internal, estimate, contact))
+    return samples, Trace(times, duties, *columns, ["calibrate"] * n)
 
 
 def run_calibration_experiment(
@@ -1007,7 +1038,7 @@ def probe_hardness(cfg: Config, stiffness: float | None, seed: int, models) -> H
     plant_obj = _build_plant(cfg, 0, derive_seed(seed, "hardness", stiffness or "free"))
     model, margin = models[0], cfg.supervisor.extrapolation_margin
     n = int(round(hc.duration_s / dt))
-    duties, duty = [], 0.0
+    duties, duty = array("d"), 0.0
     for _ in range(n):
         duty = min(hc.max_duty, duty + hc.ramp_rate * dt)
         duties.append(duty)
@@ -1024,8 +1055,9 @@ def probe_hardness(cfg: Config, stiffness: float | None, seed: int, models) -> H
         estimates.append(estimate.contact)
         if estimate.contact > hc.min_contact_force:
             points.append((estimate.contact, angle_meas))
-    columns = duties, pressures.tolist(), angles.tolist(), f_m, internals, estimates, contact.tolist()
-    trace = Trace([i * dt for i in range(n)], *columns, ["probe"] * n)
+    measured = map(partial(array, "d"), (f_m, internals, estimates))
+    columns = duties, _column(pressures), _column(angles), *measured, _column(contact)
+    trace = Trace(_tick_times(n, dt), *columns, ["probe"] * n)
     forces = [p[0] for p in points]
     touched = any(e >= cfg.supervisor.contact_threshold for e in estimates)  # as ContactDetector fires
     if len(points) < 20 or not touched or min(forces) == max(forces):

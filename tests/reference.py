@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+from array import array
 from typing import Callable, NamedTuple
 
 from softgrip.calibration import PolynomialModel
@@ -91,7 +92,7 @@ def hexed(value):
         return value.hex()
     if dataclasses.is_dataclass(value):
         return [hexed(getattr(value, f.name)) for f in dataclasses.fields(value)]
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, array)):
         return [hexed(v) for v in value]
     return value
 

@@ -7,6 +7,7 @@ Covers:
 - degree selection: penalty tie-breaking, noisy-quartic selection over seeds,
   permutation invariance, R^2 of the selected model, and per-degree records
   equal to ``bic_score`` / ``r_squared`` of each fit
+- angles whose powers overflow fail their degree as rank deficient
 - OLS invariants: residual orthogonality (column-normalized), nested-RSS
   monotonicity, small-instance oracle equivalence
 - CSV/JSON round trips and parse errors with line numbers
@@ -222,6 +223,17 @@ def test_select_records_failed_degrees():
     assert report.selected_degree == 0
     assert report.records[1].error is not None
     assert report.records[2].error is not None
+
+
+def test_overflowing_powers_are_rank_deficient():
+    # angles whose squares overflow: the scaled design matrix holds NaN, on
+    # which numpy's SVD fails; the fit reports the degree rank deficient
+    samples = [Sample(1e200 * (i - 9.5), 1.0 + 0.01 * i) for i in range(20)]
+    with pytest.raises(RankDeficientError):
+        fit_polynomial(samples, 2)
+    report = select_model(samples, max_degree=3)
+    assert report.selected_degree == 0
+    assert [r.error is None for r in report.records] == [True, False, False, False]
 
 
 def test_r_squared_basics():

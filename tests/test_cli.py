@@ -156,6 +156,12 @@ def test_validate_unknown_key_exit_2(tmp_path, capsys):
         # an internal force whose squares overflow calibration's sums, or that is inf
         ({"plant.internal_weights": [1e200, 1]}, [], "plant.internal_weights"),
         ({"plant.internal_weights": [1e308, 1e308]}, [], "plant.internal_weights"),
+    ]
+    + [
+        # sensor noise whose squares overflow calibration's sums, or whose
+        # angles' powers overflow its fit
+        ({"plant.noise_sigma": 1e200}, [], "plant.noise_sigma"),
+        ({"plant.angle_noise_sigma": 1e200}, [], "plant.angle_noise_sigma"),
     ],
 )
 def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args, field):

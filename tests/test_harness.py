@@ -15,14 +15,18 @@ Covers:
   space, for points of one force, or without a detected contact
 - the tick kernel: calibration with and without a trace, early exit, and
   the module names the benchmark's tracer wraps
-- over generated small configs, every number in the calibration, step,
-  switching and hardness traces is a Python float (a numpy scalar's repr
-  would reach the CSV), and ``FingerPlant.sense`` returns a tuple of two
-  floats
+- over generated small configs, every numeric column of the calibration,
+  step, switching and hardness traces is an ``array('d')``, every number read
+  from it a Python float (a numpy scalar's repr would reach the CSV), and
+  ``FingerPlant.sense`` returns a tuple of two floats
+- the CSV of a trace holding signed zeros, NaN, infinities and subnormals,
+  and ``hexed`` over a float array
 """
 
 import copy
 import csv
+import math
+from array import array
 from unittest import mock
 
 import pytest
@@ -45,7 +49,7 @@ from softgrip.harness import (
 )
 from softgrip.plant import FingerPlant
 
-from reference import Lane, simulate
+from reference import Lane, hexed, simulate
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +85,23 @@ def test_trace_time_grid_and_csv_roundtrip(tmp_path, cfg, models):
     assert loaded.t == trace.t
     assert loaded.f_c_est == trace.f_c_est
     assert loaded.mode == trace.mode
+
+
+def test_trace_csv_writes_each_number_as_its_repr(tmp_path):
+    values = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1, -2.5]
+    rows = [values[k:] + values[:k] for k in range(len(values))]  # each value once per column
+    trace = Trace()
+    for row in rows:
+        trace.append(*row, "probe")
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    expected = [",".join(harness.TRACE_HEADER)] + [",".join(map(repr, row)) + ",probe" for row in rows]
+    assert path.read_bytes() == "".join(line + "\r\n" for line in expected).encode()
+
+
+def test_hexed_reads_float_arrays_bit_for_bit():
+    assert hexed(array("d", [-0.0, math.nan])) == [(-0.0).hex(), math.nan.hex()]
+    assert hexed(array("d", [-0.0])) != hexed(array("d", [0.0]))
 
 
 def test_metrics_recompute_from_csv(tmp_path, cfg, models):
@@ -356,6 +377,7 @@ def test_traces_and_senses_hold_python_floats(seed, noise_sigma, angle_noise_sig
     assert readings == {(tuple, 2, float, float)}
     for trace in traces:
         *numbers, modes = vars(trace).values()
+        assert all(type(column) is array and column.typecode == "d" for column in numbers)
         assert all(type(v) is float for column in numbers for v in column)
 
 
@@ -440,7 +462,7 @@ def test_step_segment_slice_equals_row_scan(cfg, models):
         bounds = [(t[0], t[-1]), (t[5], t[40]), (t[5], t[5]), (t[40], t[5]), (t[-1], 99.0), (-1.0, t[0])]
         bounds += [(t[7] + 1e-9, t[30] - 1e-9), (-1.0, 99.0), (t[12], t[13])]
         for t_start, t_end in bounds:
-            assert t[harness._segment(t, t_start, t_end)] == [x for x in t if t_start <= x < t_end]
+            assert t[harness._segment(t, t_start, t_end)] == array("d", [x for x in t if t_start <= x < t_end])
             for target in (0.5, 2.0, 2.5, 3.0):
                 try:
                     expected = scan_step_metrics(trace, target, t_start, t_end)
