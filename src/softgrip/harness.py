@@ -19,14 +19,18 @@ Three tick kernels step the experiments, and give the same bits:
   derives the bend, the true contact and the estimate from them in numpy
   after the loop.  The step response (5 runs of 7,200 ticks) and the
   switching experiment (10 runs of 900) use it.
-- ``simulate_lanes`` steps lanes in lockstep as numpy arrays (``Lanes``),
-  in batches of at most ``BATCH_LANES``.  The grasp sweep (540 lanes of 600
-  ticks) and the estimation sweep (100 lanes that end early) use it.
+- ``simulate_lanes`` steps the grasp sweep (540 lanes of 600 ticks), whose
+  duty feeds back on each finger's estimate, in lockstep as numpy arrays
+  (``Lanes``), in batches of at most ``BATCH_LANES``.
+
+The estimation sweep's press follows the scale's true force, never the
+sensors, so ``_press`` steps each position's mechanics once by
+``FingerPlant.step``, and each cell reads its own sensors over them.
 
 ``_open_loop`` and ``Lanes.step`` share one bend law (``_bend``).  The
 kernels inline only per-tick arithmetic: the contact split, the step-size
 limit and the calibrated range come from ``plant`` and ``estimation``.  On
-every kernel each finger reads its sensors through its own
+every path each finger reads its sensors through its own
 ``FingerPlant.sense``, which adds the finger's noise; the grasp lanes that
 share a plant seed read one noise stream.
 
@@ -34,24 +38,19 @@ A trace holds its numbers as ``array('d')`` columns (``Trace``), a quarter
 of the memory of lists of floats, built from the kernels' numpy arrays as
 bytes or from the closed loop's lists once per run.
 
-``tests/reference.py`` holds the reference model every kernel is checked
+``tests/reference.py`` holds the reference model every path is checked
 against: ``simulate``, a tick loop that steps a few fingers one Python call
 at a time (``FingerPlant.step``, ``FingerPlant.sense``, ``contact_force``,
 and a policy closure that can drive a real ``Supervisor`` and
-``PiController``).  Each kernel wins over it where it is used.  On a 2-CPU
-VM (Python 3.11, numpy 2.4; medians over 5 in-process rounds of the minimum
-of 3 runs) the default grasp sweep took 0.27 s batched against 1.7 s trial
-by trial on the reference, and the estimation sweep 0.14 s against 0.35 s:
-a run of one or two lanes would not gain, as per-tick numpy calls cost more
-than a few lanes' Python calls.  The step response took 0.075 s on
-``_closed_loop`` against 0.20 s on the reference, and the switching
-experiment 0.019 s against 0.054 s.  Most of the time left on every kernel
-is the ``FingerPlant.sense`` calls, about 0.45 us each over 540 plants,
-though their noise comes in blocks (``plant.GaussStream``) and each returns
-a plain pair.  ``tests/test_open_loop.py``,
-``tests/test_open_loop_calibration.py``, ``tests/test_closed_loop.py`` and
-``tests/test_batch.py`` check the kernels against the reference.
-The committed ``BENCH_*.json`` files hold the benchmark's before/after records.
+``PiController``).  Each path wins over it where it is used.  On a 2-CPU VM
+(Python 3.11, numpy 2.4; in-process medians, the range of two sessions) the
+default grasp sweep took 0.30-0.45 s batched against 1.9-2.3 s on the
+reference, the estimation sweep 0.09-0.10 s against 0.35-0.46 s, the step
+response 0.09-0.12 s on ``_closed_loop`` against 0.28-0.34 s, and the
+switching experiment 0.032 s against 0.074-0.091 s.
+``tests/test_open_loop*.py``, ``tests/test_closed_loop.py``
+and ``tests/test_batch.py`` check the paths against the reference, and the
+committed ``BENCH_*.json`` files hold the benchmark's before/after records.
 """
 
 from __future__ import annotations
@@ -319,8 +318,8 @@ def _senses(plant_obj: FingerPlant, angles: np.ndarray, contact: np.ndarray):
 
 # Lanes per batch.  Wider batches spread each numpy call over more lanes, but
 # every lane keeps its FingerPlant (sensor filter, and a noise stream of
-# about 7 kB unless it shares one) until its batch ends, so the sweeps run in
-# batches of at most this many and memory stays flat as they grow.  The
+# about 7 kB unless it shares one) until its batch ends, so the grasp sweep
+# runs in batches of at most this many and memory stays flat as it grows.  The
 # default grasp sweep (540 lanes) runs as one batch: in-process it took 0.57,
 # 0.44, 0.45 and 0.32 s in batches of 90, 180, 270 and 540 lanes (2-CPU VM,
 # Python 3.11, numpy 2.4; medians of 5 alternating rounds, twice).
@@ -370,12 +369,12 @@ class Lanes:
     for bit.  ``group`` numbers the lanes that fail together (a grasp trial's fingers).
     """
 
-    def __init__(self, cfg: Config, plants: list, models: list, objs: list, group=None):
+    def __init__(self, cfg: Config, plants: list, models: list, objs: list, group: np.ndarray):
         self.plants = plants  # each lane's noise stream and sensor filter
         self.models = models
         self.n = len(plants)
         p = plants[0]  # the parameters every lane shares
-        self.group = np.arange(self.n) if group is None else np.asarray(group)
+        self.group = group
         self.tau_p, self.k_duty, self.bend_gain = p.tau_p, p.k_duty, p.bend_gain
         self.angle_max = p.angle_max
         self.true_columns = _weight_columns([plant.internal_model for plant in plants])
@@ -442,15 +441,13 @@ class Lanes:
         return force_meas - np.where(internal > 0.0, internal, 0.0)
 
 
-def simulate_lanes(
-    cfg: Config, lanes: Lanes, n_ticks: int, policy: Callable, record: Callable | None = None
-) -> None:
+def simulate_lanes(cfg: Config, lanes: Lanes, n_ticks: int, policy: Callable, record: Callable) -> None:
     """The batched ``simulate``: up to ``n_ticks`` ticks of sense -> estimate
     -> policy -> step -> record for every alive lane at once.
 
     ``policy(i, contact)`` returns tick ``i``'s duty per lane and ends a lane
-    by clearing ``lanes.alive`` before the step; ``record(i)``, if given,
-    runs after the step.  A lane's first error ends its group with the tick.
+    by clearing ``lanes.alive`` before the step; ``record(i)`` runs after
+    the step.  A lane's first error ends its group with the tick.
     """
     dt = cfg.controller.period
     lanes.plants[0].check_dt(dt)
@@ -462,8 +459,7 @@ def simulate_lanes(
             contact = lanes.estimate(*lanes.sense())
             duty = policy(i, contact)
             lanes.step(duty, dt)
-            if record is not None:
-                record(i)
+            record(i)
             if lanes.errors:
                 failed = [lanes.group[k] for k in lanes.errors]
                 lanes.alive &= ~np.isin(lanes.group, failed)
@@ -728,76 +724,79 @@ class EstimationRow:
 
 
 def run_estimation_accuracy(cfg: Config, seed: int | None = None, models=None) -> list:
-    """Scale-press accuracy sweep over the position grid; one row per (seed, position).
+    """Scale-press accuracy sweep; one row per (seed, position), seed-major.
 
-    Each cell is a lane that ramps the duty until the true force reaches the
-    target, settles, then averages the estimate and the truth over a window;
-    the cells run in batches of at most ``BATCH_LANES`` lanes.
+    Each cell ramps the duty until the true force reaches the target,
+    settles, then averages the estimate and the truth over a window.  The
+    duty follows the true force alone, so ``_press`` steps each position's
+    mechanics once, and each cell reads its own sensors over them.  A
+    failing cell raises, the first in row order.
     """
     master, models = _master_and_models(cfg, seed, models)
     est = cfg.estimation
-    cells = [
-        (derive_seed(master, "estimation-seed", s), position)
+    presses = {position: _press(cfg, position) for position in dict.fromkeys(est.positions)}
+    return [
+        _estimation_row(cfg, models[0], derive_seed(master, "estimation-seed", s), position, presses[position])
         for s in range(est.n_seeds)
         for position in est.positions
     ]
-    rows = []
-    for k in range(0, len(cells), BATCH_LANES):
-        rows += _estimation_rows(cfg, models[0], cells[k : k + BATCH_LANES])
-    return rows
 
 
-def _estimation_rows(cfg: Config, model: PolynomialModel, cells: list) -> list:
-    """One batch of estimation cells, each (seed, position); a failing cell
-    raises, the first in the order given."""
+def _press(cfg: Config, position: float) -> tuple:
+    """The press/settle/measure run against the scale at ``position``, stepped
+    by ``FingerPlant.step``: (angles, contacts, count, true_sum, flag).  The
+    arrays are the true state each tick senses, up to the tick that ends the
+    press; its last ``count`` ticks are the window, over which the true force
+    sums to ``true_sum``; ``flag`` says why a press with no window ended."""
     est = cfg.estimation
     dt = cfg.controller.period
-    objs = [ObjectModel(position_angle=position, stiffness=est.scale_stiffness) for _, position in cells]
-    plants = [_build_plant(cfg, 0, derive_seed(s, "estimation", pos, "plant")) for s, pos in cells]
-    lanes = Lanes(cfg, plants, [model] * len(cells), objs)
+    obj = ObjectModel(position_angle=position, stiffness=est.scale_stiffness)
+    plant_obj = _build_plant(cfg, 0, 0)  # its mechanics only: each cell senses through its own plant
     settle_ticks = max(1, int(round(est.settle_s / dt)))
     window_ticks = max(1, int(round(est.window_s / dt)))
-    n = lanes.n
-    pressed, unreachable = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    # floats, exact for any tick count a run reaches, and comparable with
-    # tick counts beyond int64
-    pressed_at, count = np.zeros(n), np.zeros(n)
-    est_acc, true_acc = np.zeros(n), np.zeros(n)
+    angles, contacts = array("d"), array("d")
+    duty, pressed_at, count, true_sum, flag = 0.0, None, 0, 0.0, "timeout"
+    plant_obj.step(duty, dt)  # in free space before the first tick; raises for a bad dt
+    for i in range(int(round(est.timeout_s / dt))):
+        angles.append(plant_obj.angle)
+        contacts.append(plant_obj.contact_force)
+        if pressed_at is None:
+            if plant_obj.contact_force >= est.target:
+                pressed_at = i
+            elif duty >= MAX_DUTY:
+                flag = "unreachable at max duty"
+                break
+            else:
+                duty = min(MAX_DUTY, duty + est.ramp_rate * dt)
+        elif i > pressed_at + settle_ticks:
+            true_sum += plant_obj.contact_force
+            count += 1
+            if count == window_ticks:
+                break
+        plant_obj.step(duty, dt, obj)
+    return np.array(angles), np.array(contacts), count, true_sum, flag
 
-    def press_settle_measure(i, contact):
-        alive = lanes.alive
-        pressing = alive & ~pressed
-        reached = pressing & (lanes.contact_force >= est.target)
-        at_max = pressing & ~reached & (lanes.duty >= MAX_DUTY)
-        ramp = lanes.duty + est.ramp_rate * dt
-        ramping = pressing & ~reached & ~at_max
-        lanes.duty = np.where(ramping, np.where(ramp < MAX_DUTY, ramp, MAX_DUTY), lanes.duty)
-        measuring = alive & pressed & (i > pressed_at + settle_ticks)
-        pressed_at[reached] = i
-        pressed[reached] = True
-        np.add(est_acc, contact, out=est_acc, where=measuring)
-        np.add(true_acc, lanes.contact_force, out=true_acc, where=measuring)
-        count[measuring] += 1.0
-        unreachable[at_max] = True
-        lanes.alive &= ~(at_max | (measuring & (count == window_ticks)))
-        return lanes.duty
 
-    simulate_lanes(cfg, lanes, int(round(est.timeout_s / dt)), press_settle_measure)
-    errors = lanes.group_errors()
-    rows = []
-    for k, (s, position) in enumerate(cells):
-        if k in errors:
-            raise errors[k]
-        m = int(count[k])
-        if m == 0:
-            flagged = "unreachable at max duty" if unreachable[k] else "timeout"
-            rows.append(EstimationRow(s, position, est.target, None, None, None, flagged=flagged))
-            continue
-        estimated = float(est_acc[k]) / m
-        true_force = float(true_acc[k]) / m
-        error = abs(estimated - true_force)
-        rows.append(EstimationRow(s, position, est.target, estimated, true_force, error))
-    return rows
+def _estimation_row(cfg: Config, model: PolynomialModel, seed: int, position: float, press: tuple):
+    """One cell over its position's ``_press``: its own plant reads the
+    sensors tick by tick, and the first reading out of the model's range
+    raises ``contact_force``'s error."""
+    angles, contacts, count, true_sum, flag = press
+    plant_obj = _build_plant(cfg, 0, derive_seed(seed, "estimation", position, "plant"))
+    margin = cfg.supervisor.extrapolation_margin
+    lo, hi = calibrated_range(model, margin)
+    start, est_sum = len(angles) - count, 0.0
+    for i, (angle_meas, force_meas) in enumerate(_senses(plant_obj, angles, contacts)):
+        if angle_meas < lo or angle_meas > hi:
+            raise _raised(internal_force, model, angle_meas, margin)
+        if i >= start:  # contact_force(...).contact
+            internal = model.predict(angle_meas)
+            est_sum += force_meas - (internal if internal > 0.0 else 0.0)
+    target = cfg.estimation.target
+    if count == 0:
+        return EstimationRow(seed, position, target, None, None, None, flagged=flag)
+    estimated, true_force = est_sum / count, true_sum / count
+    return EstimationRow(seed, position, target, estimated, true_force, abs(estimated - true_force))
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,25 @@
-"""The batched tick kernel against the reference tick loop.
+"""The grasp and estimation sweeps against the reference tick loop.
 
-``harness.simulate_lanes`` runs the grasp and estimation sweeps as lockstep
-batches of lanes.  The oracles below are the trial-by-trial bodies those
-sweeps had on the reference tick loop, ``reference.simulate``.  Over
-generated configs, seeds and models, the batch must give the same
-outcomes, the same grips passed to ``shake_test``, the same estimation rows
-and the same raised errors (type and message), every float compared as
-``float.hex``.
+``harness.simulate_lanes`` runs the grasp sweep as lockstep batches of
+lanes; ``harness.run_estimation_accuracy`` steps each position's press once
+and reads every cell's sensors over it.  The oracles below are the
+trial-by-trial bodies those sweeps had on the reference tick loop,
+``reference.simulate``.  Over generated configs, seeds and models, the
+sweeps must give the same outcomes, the same grips passed to
+``shake_test``, the same estimation rows and the same raised errors (type
+and message), every float compared as ``float.hex``.
 
 The strategies reach noise sigma 0, object stiffness 0, ``output_min > 0``,
 fingers whose models have different degrees, models without a calibrated
 range, grasps that bend out of range, and estimation cells that time out,
-flag "unreachable" or bend out of range.  Pinned configs check sweeps
-split into smaller batches, the default grasp sweep in one batch of 540
-lanes against two of 270, and empty sweeps.  Sizes stay small (a cheap
-calibration, at most 8 grasp trials of at most 2 s) so the file runs in
-seconds.
+flag "unreachable" or bend out of range.  Pinned configs check the grasp
+sweep split into smaller batches, the default grasp sweep in one batch of
+540 lanes against two of 270, empty sweeps, and presses that cells share: a
+repeated position, an integral position beside its float, and windows the
+timeout cuts short.  Sizes stay small (a cheap calibration, at most 8 grasp
+trials of at most 2 s) so the file runs in seconds.
 
-The batch keeps the reference's sensing contract: one
+Both sweeps keep the reference's sensing contract: one
 ``FingerPlant.sense`` call per live lane-tick, and grasp lanes that share
 a plant seed (one object, trial and finger at other set-points) read one
 noise stream, which refuses a read out of order.
@@ -27,6 +29,7 @@ import contextlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -317,6 +320,27 @@ NOISELESS = {
     "estimation": {"n_seeds": 1, "positions": [20.0, 125.0], "timeout_s": 2.0, "ramp_rate": 100.0},
 }
 
+# noisy plants, a repeated set-point, and estimation cells that end at different ticks
+SHARED = {
+    "seed": 11,
+    "calibration": {"cycles": 1, "levels": 7, "hold_s": 0.1, "rest_s": 0.1},
+    "grasp": {
+        "setpoints": [1.0, 2.5, 1.0],
+        "n_trials": 2,
+        "duration_s": 1.5,
+        "objects": {"eggshell": {}, "paper_cup": {}},
+    },
+    "estimation": {"n_seeds": 2, "positions": [20.0, 60.0, 110.0], "timeout_s": 3.0, "ramp_rate": 60.0},
+}
+# presses that cells share: a repeated position, an integral position beside
+# its float (one press, two plant seeds), and windows cut short by the timeout
+REPEATED = {**SHARED, "estimation": {"n_seeds": 2, "positions": [20.0, 60.0, 20.0], "ramp_rate": 60.0}}
+INTEGRAL = {**SHARED, "estimation": {"n_seeds": 2, "positions": [15, 15.0, 22.0], "ramp_rate": 60.0}}
+SHORT_WINDOW = {
+    **SHARED,
+    "estimation": {"n_seeds": 2, "positions": [20.0, 15], "timeout_s": 2.5, "ramp_rate": 60.0},
+}
+
 # Hypothesis cannot use function-scoped fixtures across examples, and none is needed
 SETTINGS = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -334,6 +358,9 @@ def test_grasp_batch_matches_scalar_trials(spec, degrees, rangeless):
 @given(spec=config_specs(), degrees=degree_choices, rangeless=st.booleans())
 @example(spec=OUT_OF_RANGE, degrees=None, rangeless=False)
 @example(spec=NOISELESS, degrees=[1, 2, 3], rangeless=True)
+@example(spec=REPEATED, degrees=None, rangeless=False)
+@example(spec=INTEGRAL, degrees=None, rangeless=False)
+@example(spec=SHORT_WINDOW, degrees=None, rangeless=False)
 def test_estimation_batch_matches_scalar_cells(spec, degrees, rangeless):
     cfg = build(spec)
     assert_estimates_match(cfg, fitted_models(cfg, degrees, rangeless))
@@ -360,6 +387,26 @@ def test_examples_reach_the_edge_cases():
     cfg.estimation.timeout_s = 0.5
     rows, _, _ = assert_estimates_match(cfg, models)
     assert [r[-1] for r in rows] == ["timeout", "timeout"]
+
+
+def test_press_examples_reach_their_cases():
+    # a repeated position repeats its cells' rows
+    cfg = build(REPEATED)
+    rows, error, _ = assert_estimates_match(cfg, fitted_models(cfg, None, False))
+    assert error is None and rows[0] == rows[2] != rows[1] and rows[3] == rows[5]
+    # 15 and 15.0 share a press but not a plant seed, and each row keeps its own position
+    cfg = build(INTEGRAL)
+    rows, error, _ = assert_estimates_match(cfg, fitted_models(cfg, None, False))
+    assert error is None and [r[1] for r in rows[:2]] == [15, (15.0).hex()]
+    assert rows[0][4] == rows[1][4] and rows[0][3] != rows[1][3]  # one truth, two estimates
+    # the timeout cuts every window short, after its first tick
+    cfg = build(SHORT_WINDOW)
+    rows, error, _ = assert_estimates_match(cfg, fitted_models(cfg, None, False))
+    assert error is None and all(r[-1] is None for r in rows)
+    window_ticks = max(1, round(cfg.estimation.window_s / cfg.controller.period))
+    for position in cfg.estimation.positions:
+        count = harness._press(cfg, position)[2]
+        assert 1 <= count < window_ticks
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -389,18 +436,12 @@ def test_grasp_sweep_serial_equals_two_jobs(spec):
 @pytest.mark.parametrize("lanes", [1, 6])
 @pytest.mark.parametrize("spec", [OUT_OF_RANGE, NOISELESS], ids=["out-of-range", "noiseless"])
 def test_sweeps_in_small_batches_match_one_batch(monkeypatch, spec, lanes):
-    # a failing trial or cell still raises first in task order across batches
+    # a failing trial still raises first in task order across batches
     cfg = build(spec)
     models = fitted_models(cfg, None, False)
-
-    def sweeps():
-        return run(harness.run_grasp_sweep, cfg, None, 1, models), run(
-            harness.run_estimation_accuracy, cfg, None, models
-        )
-
-    whole = sweeps()
+    whole = run(harness.run_grasp_sweep, cfg, None, 1, models)
     monkeypatch.setattr(harness, "BATCH_LANES", lanes)
-    assert sweeps() == whole
+    assert run(harness.run_grasp_sweep, cfg, None, 1, models) == whole
 
 
 def test_default_grasp_sweep_in_one_batch_matches_two(monkeypatch):
@@ -436,20 +477,6 @@ def test_empty_sweeps_return_nothing(jobs):
 
 # ---------------------------------------------------------------------------
 # Sensing: one sense call per live lane-tick, one noise stream per plant seed
-
-# noisy plants, a repeated set-point, and estimation cells that end at different ticks
-SHARED = {
-    "seed": 11,
-    "calibration": {"cycles": 1, "levels": 7, "hold_s": 0.1, "rest_s": 0.1},
-    "grasp": {
-        "setpoints": [1.0, 2.5, 1.0],
-        "n_trials": 2,
-        "duration_s": 1.5,
-        "objects": {"eggshell": {}, "paper_cup": {}},
-    },
-    "estimation": {"n_seeds": 2, "positions": [20.0, 60.0, 110.0], "timeout_s": 3.0, "ramp_rate": 60.0},
-}
-
 
 def counted_senses(monkeypatch) -> list:
     """Patch ``FingerPlant.sense`` to count its calls into the returned one-item list."""
@@ -541,7 +568,7 @@ def test_lane_state_arrays_do_not_alias(name):
     cfg = build(NOISELESS)
     plants = [harness._build_plant(cfg, f, 9) for f in range(3)]
     model = PolynomialModel(2, tuple(QUADRATIC), 0.0, 120.0)
-    lanes = harness.Lanes(cfg, plants, [model] * 3, [ObjectModel(10.0, 0.1)] * 3)
+    lanes = harness.Lanes(cfg, plants, [model] * 3, [ObjectModel(10.0, 0.1)] * 3, np.arange(3))
     getattr(lanes, name)[1] += 5.0  # in place, as np.add(..., out=) or np.copyto would write
     assert getattr(lanes, name).tolist() == [0.0, 5.0, 0.0]
     assert all(not getattr(lanes, other).any() for other in LANE_STATE if other != name)
