@@ -165,7 +165,7 @@ class EstimationConfig:
     positions: list = field(default_factory=lambda: [15.0, 22.0, 29.0, 36.0, 43.0])
     scale_stiffness: float = _bounded(0.5, _POSITIVE)
     target: float = _bounded(2.0, _POSITIVE)  # N, the ~200 g scale target
-    ramp_rate: float = 8.0  # duty-%/s while pressing
+    ramp_rate: float = _bounded(8.0, _POSITIVE)  # duty-%/s while pressing
     settle_s: float = _bounded(1.0, _ONE_TICK)
     window_s: float = _bounded(0.5, _ONE_TICK)
     timeout_s: float = _bounded(30.0, _ONE_TICK)

@@ -162,6 +162,11 @@ def test_validate_unknown_key_exit_2(tmp_path, capsys):
         # angles' powers overflow its fit
         ({"plant.noise_sigma": 1e200}, [], "plant.noise_sigma"),
         ({"plant.angle_noise_sigma": 1e200}, [], "plant.angle_noise_sigma"),
+    ]
+    + [
+        # a press whose duty never rises would time out every estimation cell
+        ({"estimation.ramp_rate": -5.0}, [], "estimation.ramp_rate"),
+        ({"estimation.ramp_rate": 0.0}, [], "estimation.ramp_rate"),
     ],
 )
 def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args, field):
