@@ -4,8 +4,8 @@ The package splits into:
 
 - ``calibration``: OLS polynomial fits of the bending-induced internal force
   with BIC degree selection;
-- ``estimation``: contact force by internal-force subtraction, plus contact
-  detection with hysteresis;
+- ``estimation``: contact force by internal-force subtraction, plus
+  threshold contact detection;
 - ``control``: the discrete incremental PI controller and the
   approach/force-control supervisor;
 - ``plant``: the deterministic simulated finger, sensors, and objects;

@@ -44,7 +44,6 @@ class _Bound:
 _ANY = _Bound("", lambda v: True)  # unbounded numbers need only be finite
 _POSITIVE = _Bound("must be > 0", lambda v: v > 0)
 _NON_NEGATIVE = _Bound("must be >= 0", lambda v: v >= 0)
-_UNIT = _Bound("must be in [0, 1]", lambda v: 0 <= v <= 1)
 _UNIT_OPEN_BELOW = _Bound("must be in (0, 1]", lambda v: 0 < v <= 1)
 _AT_LEAST_ONE = _Bound("must be >= 1", lambda v: v >= 1)
 # the squares of noisier force readings overflow calibration's sums, and the
@@ -100,7 +99,6 @@ class ControllerConfig:
 class SupervisorConfig:
     approach_rate: float = _bounded(control.DEFAULT_APPROACH_RATE, _POSITIVE)
     contact_threshold: float = _bounded(estimation.DEFAULT_CONTACT_THRESHOLD, _POSITIVE)
-    hysteresis_ratio: float = _bounded(estimation.DEFAULT_HYSTERESIS_RATIO, _UNIT)
     extrapolation_margin: float = _bounded(estimation.DEFAULT_EXTRAPOLATION_MARGIN, _NON_NEGATIVE)
 
 
@@ -295,14 +293,19 @@ def config_from_dict(data: dict) -> Config:
 
 
 def load_config(path: str | Path) -> Config:
-    """Parse a JSON config file over the defaults; validation is separate."""
+    """Parse a JSON config file over the defaults; validation is separate.
+
+    A file that cannot be read, or is not UTF-8 JSON that Python can hold
+    (an integer literal over 4,300 digits, nesting past the recursion
+    limit), raises ConfigError naming the file.
+    """
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
-        with open(p, "r") as fh:
+        with open(p, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{p}: cannot read config file ({exc.strerror or exc})") from None
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError included
         raise ConfigError(f"{p}: invalid JSON ({exc})") from None
     return config_from_dict(data)
 

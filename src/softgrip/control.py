@@ -87,10 +87,11 @@ class Mode(enum.Enum):
 class Supervisor:
     """Approach-then-control switching for one grasp attempt.
 
-    Ramps the duty open loop until the contact detector fires, then hands
-    the loop to the PI controller with the integral zeroed and the current
-    duty carried over, so the handover itself introduces no duty bump.  The
-    Approach -> ForceControl transition happens exactly once per attempt.
+    Ramps the duty open loop until the contact estimate reaches the
+    detector's threshold, then hands the loop to the PI controller with the
+    integral zeroed and the current duty carried over, so the handover
+    itself introduces no duty bump.  The Approach -> ForceControl transition
+    happens exactly once per attempt; the detector is not consulted after it.
 
     The reference model of the switching law: the experiments run it inlined
     (``harness._closed_loop``, ``harness._supervisor_policy``), and the tests

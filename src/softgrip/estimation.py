@@ -15,7 +15,6 @@ from .calibration import PolynomialModel
 from .errors import OutOfRangeError
 
 DEFAULT_CONTACT_THRESHOLD = 0.2  # N, above the worst-case free-space estimation error
-DEFAULT_HYSTERESIS_RATIO = 0.5
 DEFAULT_EXTRAPOLATION_MARGIN = 0.1  # fraction of the calibrated angle span
 
 
@@ -70,32 +69,18 @@ def contact_force(
 
 
 class ContactDetector:
-    """Thresholded contact detection with hysteresis.
+    """Thresholded contact detection: contact is ``estimate >= threshold``.
 
-    Fires when the estimate reaches ``threshold`` and releases only when it
-    falls below ``threshold * hysteresis_ratio``, so noise at the boundary
-    cannot chatter.  One detector instance belongs to one control loop.
+    It keeps no state: the approach/force-control handover happens once,
+    and nothing reads the detector after it fires.
     """
 
-    def __init__(
-        self,
-        threshold: float = DEFAULT_CONTACT_THRESHOLD,
-        hysteresis_ratio: float = DEFAULT_HYSTERESIS_RATIO,
-    ):
+    def __init__(self, threshold: float = DEFAULT_CONTACT_THRESHOLD):
         if threshold <= 0.0:
             raise ValueError("threshold must be > 0")
-        if not 0.0 <= hysteresis_ratio <= 1.0:
-            raise ValueError("hysteresis_ratio must be in [0, 1]")
         self.threshold = threshold
-        self.hysteresis_ratio = hysteresis_ratio
-        self.in_contact = False
 
     def update(self, contact: float) -> bool:
         if not math.isfinite(contact):
             raise ValueError("contact estimate must be finite")
-        if self.in_contact:
-            if contact < self.threshold * self.hysteresis_ratio:
-                self.in_contact = False
-        elif contact >= self.threshold:
-            self.in_contact = True
-        return self.in_contact
+        return contact >= self.threshold

@@ -472,7 +472,7 @@ def _supervisor_policy(cfg: Config, lanes: Lanes, targets: np.ndarray) -> Callab
     lo, hi, dt = cc.output_min, cc.output_max, cc.period
     # built once, with the checks the reference makes when it builds them
     sc = cfg.supervisor
-    detector = ContactDetector(sc.contact_threshold, sc.hysteresis_ratio)
+    detector = ContactDetector(sc.contact_threshold)
     ctrl = _build_controller(cfg)
     approach_step = cfg.supervisor.approach_rate * dt
 
@@ -539,7 +539,7 @@ def _closed_loop(
     plant_obj.step(duty, dt)  # raises FingerPlant.step's error for a bad dt
     # built once, with the checks the reference makes when it builds them
     sc = cfg.supervisor
-    detector = None if force_mode else ContactDetector(sc.contact_threshold, sc.hysteresis_ratio)
+    detector = None if force_mode else ContactDetector(sc.contact_threshold)
     ctrl = _build_controller(cfg)
     sense = plant_obj.sense
     true_weights = tuple(reversed(plant_obj.internal_model.weights))

@@ -82,7 +82,7 @@ def build_supervisor(cfg: Config, target: float) -> Supervisor:
     return Supervisor(
         target_force=target,
         approach_rate=sc.approach_rate,
-        detector=ContactDetector(sc.contact_threshold, sc.hysteresis_ratio),
+        detector=ContactDetector(sc.contact_threshold),
     )
 
 

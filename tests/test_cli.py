@@ -65,6 +65,28 @@ def test_missing_config_exit_2_names_path(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "contents",
+    [
+        b'{"seed": 1\xff}',  # not UTF-8
+        b'{"seed": ' + b"9" * 5000 + b"}",  # past Python's 4,300-digit int limit
+        b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+        None,  # a directory
+    ],
+    ids=["non-utf8", "huge-int", "deep", "directory"],
+)
+def test_unreadable_config_exit_2_names_path(tmp_path, capsys, contents):
+    path = tmp_path / "bad.json"
+    if contents is None:
+        path.mkdir()
+    else:
+        path.write_bytes(contents)
+    rc = main(["validate", "--config", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_unknown_experiment_exit_2_lists_names(tmp_path, capsys):
     rc = main(["run", "wiggle", "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -167,6 +189,10 @@ def test_validate_unknown_key_exit_2(tmp_path, capsys):
         # a press whose duty never rises would time out every estimation cell
         ({"estimation.ramp_rate": -5.0}, [], "estimation.ramp_rate"),
         ({"estimation.ramp_rate": 0.0}, [], "estimation.ramp_rate"),
+    ]
+    + [
+        # contact detection is a plain threshold, with no hysteresis to set
+        ({"supervisor.hysteresis_ratio": 0.5}, [], "unknown config key: supervisor.hysteresis_ratio"),
     ],
 )
 def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args, field):

@@ -108,7 +108,6 @@ def test_failure_threshold_admits_inf(path):
         ("hardness.soft_stiffness", -0.1),
         ("calibration.cycles", 0),
         ("plant.filter_alpha", 0.0),
-        ("supervisor.hysteresis_ratio", 1.5),
     ],
 )
 def test_each_problem_names_one_field(path, value):

@@ -5,8 +5,8 @@ Covers:
   zero clamp, and the extrapolation guard with its margin
 - contact = measured - internal, exact additivity in the measured force,
   preserved negative estimates
-- contact detection: thresholds, hysteresis release level, monotonicity,
-  and free-space behavior on plant traces (no false positives; mean
+- contact detection: a stateless threshold over any history of finite
+  estimates, and free-space behavior on plant traces (no false positives; mean
   estimate consistent with the noise level)
 """
 
@@ -14,6 +14,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softgrip.calibration import PolynomialModel, Sample, fit_polynomial
 from softgrip.config import default_config
@@ -110,33 +112,23 @@ def test_linearity_in_measured_force():
         assert b - a == pytest.approx(delta, abs=1e-12)
 
 
-def test_detector_threshold_and_hysteresis():
-    det = ContactDetector(threshold=0.2, hysteresis_ratio=0.5)
-    assert det.update(0.0) is False
-    assert det.update(0.19) is False
-    assert det.update(0.25) is True
-    assert det.update(0.15) is True  # above release level 0.1
-    assert det.update(0.11) is True
-    assert det.update(0.09) is False  # below threshold * ratio
-    assert det.update(0.19) is False  # needs the full threshold again
-
-
-def test_detector_monotone_without_history():
-    # ignoring hysteresis history: higher contact never turns True into False
-    for threshold in (0.1, 0.2, 0.5):
-        values = [0.01 * k for k in range(100)]
-        states = []
-        for v in values:
-            det = ContactDetector(threshold=threshold)
-            states.append(det.update(v))
-        assert states == sorted(states)
+@settings(max_examples=200, deadline=None)
+@given(
+    threshold=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    contacts=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_detector_is_the_threshold_whatever_came_before(threshold, contacts, bad):
+    det = ContactDetector(threshold=threshold)
+    for x in contacts:
+        assert det.update(x) is (x >= threshold)
+    with pytest.raises(ValueError):
+        det.update(bad)
 
 
 def test_detector_validation():
     with pytest.raises(ValueError):
         ContactDetector(threshold=0.0)
-    with pytest.raises(ValueError):
-        ContactDetector(threshold=0.1, hysteresis_ratio=1.5)
     det = ContactDetector()
     with pytest.raises(ValueError):
         det.update(float("nan"))
