@@ -112,6 +112,30 @@ def test_linearity_in_measured_force():
         assert b - a == pytest.approx(delta, abs=1e-12)
 
 
+def test_detector_threshold_and_hysteresis():
+    # no hysteresis: once contact drops below the threshold, it is released
+    det = ContactDetector(threshold=0.2)
+    assert det.update(0.0) is False
+    assert det.update(0.19) is False
+    assert det.update(0.2) is True
+    assert det.update(0.25) is True
+    assert det.update(0.15) is False
+    assert det.update(0.09) is False
+    assert det.update(0.19) is False
+    assert det.update(0.21) is True
+
+
+def test_detector_monotone_without_history():
+    # higher contact never turns True into False
+    for threshold in (0.1, 0.2, 0.5):
+        values = [0.01 * k for k in range(100)]
+        states = []
+        for v in values:
+            det = ContactDetector(threshold=threshold)
+            states.append(det.update(v))
+        assert states == sorted(states)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     threshold=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
