@@ -16,8 +16,13 @@
 #     Outputs-changed: trace-export/switch/switch_metrics.json
 #
 # Digests come from one machine, so a libm or BLAS that differs in the last
-# bit on another CPU cannot fail the comparison.  Exit status: 0 equal (or
-# declared), 1 undeclared or mis-declared differences, 2 usage or run error.
+# bit on another CPU cannot fail the comparison.  They also come from one
+# interpreter version, the python3 on PATH, which runs both sides: from
+# Python 3.12, builtin sum() of floats is compensated, so the bytes of other
+# minor versions may differ (README, "Determinism").  The Python and numpy
+# versions that produced the digests are printed to stderr.  Exit status: 0
+# equal (or declared), 1 undeclared or mis-declared differences, 2 usage or
+# run error.
 set -euo pipefail
 
 SEEDS="12345 777"
@@ -35,6 +40,9 @@ for side in base head; do
     mkdir "$work/$side"
     git -C "$root" archive "${!sha_var}" | tar -x -C "$work/$side"
 done
+
+python3 -c 'import sys, numpy; print(f"digests by Python {sys.version.split()[0]}, numpy {numpy.__version__}")' >&2 \
+    || exit 2
 
 for seed in $SEEDS; do
     for side in base head; do

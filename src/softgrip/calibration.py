@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -159,8 +160,35 @@ def fit_polynomial(samples: list[Sample], degree: int) -> PolynomialModel:
     )
 
 
+def _horner(columns, x: np.ndarray) -> np.ndarray:
+    """``PolynomialModel.predict`` over an array: from 0.0, ``acc * x + w``
+    for each weight, highest degree first.  A column is a float, or an array
+    of one weight per element of ``x``."""
+    acc = np.zeros_like(x)
+    for w in columns:
+        acc = acc * x + w
+    return acc
+
+
+def _sum_of_squares(values: list) -> float:
+    """Python's own ``x ** 2`` of each value, summed in order by builtin
+    ``sum``: a finite value whose square overflows raises ``OverflowError``."""
+    return float(sum(map(pow, values, repeat(2))))
+
+
+def _rss(weights: tuple, angles: np.ndarray, forces: np.ndarray) -> float:
+    """``sum((predict(angle) - force) ** 2)`` over the samples' arrays, with
+    the bits of the per-sample loop: the Horner and the subtraction are the
+    same IEEE operations in numpy, and the squares and their sum are Python's."""
+    with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
+        residual = _horner(reversed(weights), angles) - forces
+    return _sum_of_squares(residual.tolist())
+
+
 def residual_sum_of_squares(model: PolynomialModel, samples: list[Sample]) -> float:
-    return float(sum((model.predict(s.angle) - s.force) ** 2 for s in samples))
+    x = np.array([s.angle for s in samples], dtype=float)
+    y = np.array([s.force for s in samples], dtype=float)
+    return _rss(model.weights, x, y)
 
 
 def _sigma2(rss: float, n: int) -> float:
@@ -171,9 +199,9 @@ def _bic(rss: float, n: int, degree: int) -> float:
     return math.log(n) * (degree + 1) + n * (math.log(2.0 * math.pi * _sigma2(rss, n)) + 1.0)
 
 
-def _total_sum_of_squares(samples: list[Sample]) -> float:
-    mean = sum(s.force for s in samples) / len(samples)
-    return sum((s.force - mean) ** 2 for s in samples)
+def _total_sum_of_squares(forces: list) -> float:
+    mean = sum(forces) / len(forces)
+    return _sum_of_squares([f - mean for f in forces])
 
 
 def _r_squared(rss: float, tss: float) -> float:
@@ -199,7 +227,8 @@ def r_squared(model: PolynomialModel, samples: list[Sample]) -> float:
     """Coefficient of determination 1 - RSS/TSS."""
     if len(samples) < 2:
         raise ValueError("need at least 2 samples")
-    return _r_squared(residual_sum_of_squares(model, samples), _total_sum_of_squares(samples))
+    forces = [s.force for s in samples]
+    return _r_squared(residual_sum_of_squares(model, samples), _total_sum_of_squares(forces))
 
 
 def select_model(samples: list[Sample], max_degree: int = DEFAULT_MAX_DEGREE) -> CalibrationReport:
@@ -207,7 +236,8 @@ def select_model(samples: list[Sample], max_degree: int = DEFAULT_MAX_DEGREE) ->
 
     Degrees whose fit fails are recorded with the error and skipped; only if
     every degree fails is the last error re-raised.  Each degree's scores take
-    one residual pass, through the formulas of ``bic_score`` and ``r_squared``.
+    one residual pass over the samples' arrays, built once, through the
+    formulas of ``bic_score`` and ``r_squared``.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -219,7 +249,10 @@ def select_model(samples: list[Sample], max_degree: int = DEFAULT_MAX_DEGREE) ->
     records = []
     best: tuple[float, int] | None = None
     last_error: Exception | None = None
-    tss = _total_sum_of_squares(samples)
+    angles = [s.angle for s in samples]
+    forces = [s.force for s in samples]
+    x, y = np.array(angles, dtype=float), np.array(forces, dtype=float)
+    tss = _total_sum_of_squares(forces)
     for degree in range(max_degree + 1):
         try:
             model = fit_polynomial(samples, degree)
@@ -229,7 +262,7 @@ def select_model(samples: list[Sample], max_degree: int = DEFAULT_MAX_DEGREE) ->
                 DegreeRecord(degree, None, None, None, None, None, error=str(exc))
             )
             continue
-        rss = residual_sum_of_squares(model, samples)
+        rss = _rss(model.weights, x, y)
         bic = _bic(rss, n, degree)
         try:
             r2 = _r_squared(rss, tss)
@@ -240,7 +273,6 @@ def select_model(samples: list[Sample], max_degree: int = DEFAULT_MAX_DEGREE) ->
             best = (bic, degree)
     if best is None:
         raise last_error if last_error is not None else RankDeficientError("all fits failed")
-    angles = [s.angle for s in samples]
     return CalibrationReport(
         records=tuple(records),
         selected_degree=best[1],

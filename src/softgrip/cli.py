@@ -211,6 +211,9 @@ def main(argv: list | None = None) -> int:
     except (SoftgripError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError:  # a validated span of ticks that no list or array can hold
+        print("error: out of memory: the config's spans need more ticks than fit in memory", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -52,18 +52,18 @@ _NOISE = _Bound("must be in [0, 1e100]", lambda v: 0 <= v <= 1e100)
 _DUTY = _Bound(f"must be <= {plant.MAX_DUTY:g} (the PWM duty ceiling)", lambda v: v <= plant.MAX_DUTY)
 # a failure threshold of inf means the object never deforms or breaks
 _THRESHOLD = _Bound("must be > 0", lambda v: v > 0, admits_inf=True)
-# runs count round(span / period) ticks: 0 ticks leaves a window empty and
-# inf ticks (1e308 / period) cannot be counted
+# runs count round(span / period) ticks: 0 ticks leaves a window empty, and a
+# count past sys.maxsize (inf at 1e308 / period) cannot size a list or an array
 _ONE_TICK = _Bound(
-    "must be > 0 and span at least one, finitely many, control ticks",
-    lambda t: 0.5 < t < math.inf,
+    f"must be > 0 and span from one to {sys.maxsize} (sys.maxsize) control ticks",
+    lambda t: 0.5 < t <= sys.maxsize,
     in_ticks=True,
 )
 # the step run counts round(2 * segment_s / period) ticks and starts its second
 # segment at segment_s; from 1.5 ticks on, that segment always holds a tick
 _STEP_SEGMENT = _Bound(
-    "must span at least 1.5, finitely many, control ticks (a tick in each step segment)",
-    lambda t: 1.5 <= t and 2.0 * t < math.inf,
+    f"must span 1.5 (a tick in each step segment) to {sys.maxsize // 2} (sys.maxsize / 2) control ticks",
+    lambda t: 1.5 <= t and 2.0 * t <= sys.maxsize,
     in_ticks=True,
 )
 

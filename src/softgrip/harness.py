@@ -9,10 +9,13 @@ serial execution produce identical results.
 Three tick kernels step the experiments, and give the same bits:
 
 - ``_open_loop`` steps one finger through a duty schedule fixed in advance:
-  the pressure recurrence in floats, the bend and the contact in numpy.  Its
-  callers then read the sensors one ``FingerPlant.sense`` per tick, in tick
-  order.  The calibration ramp (3 fingers of 12,390 ticks at the default
-  config) and the hardness probe (2 runs of 480) use it.
+  the target pressures in one numpy product, the pressure recurrence in
+  floats, the bend and the contact in numpy.  Its callers then read the
+  sensors through ``_senses``, one ``FingerPlant.sense`` per tick, in tick
+  order, as one ``map`` per noise block chained together, with no
+  generator frame per tick.  The calibration ramp (3 fingers of 12,390
+  ticks at the default config) and the hardness probe (2 runs of 480) use
+  it.
 - ``_closed_loop`` steps one finger under the supervisor and its PI
   controller in plain floats, one tick per loop pass, with its state in
   locals.  It lists only the trace columns the loop alone knows, and
@@ -25,7 +28,8 @@ Three tick kernels step the experiments, and give the same bits:
 
 The estimation sweep's press follows the scale's true force, never the
 sensors, so ``_press`` steps each position's mechanics once by
-``FingerPlant.step``, and each cell reads its own sensors over them.
+``FingerPlant.step``, and each cell reads its own sensors over them through
+``_senses``.
 
 ``_open_loop`` and ``Lanes.step`` share one bend law (``_bend``).  The
 kernels inline only per-tick arithmetic: the contact split, the step-size
@@ -68,7 +72,7 @@ from typing import Callable
 import numpy as np
 
 from . import calibration as calib
-from .calibration import CSV_LINE_END, PolynomialModel, Sample
+from .calibration import CSV_LINE_END, PolynomialModel, Sample, _horner
 from .config import Config
 from .control import Mode, PiController
 from .errors import OutOfRangeError, SoftgripError
@@ -272,21 +276,24 @@ def _tick_times(n: int, dt: float) -> array:
     return _column(np.arange(n) * dt)
 
 
-def _open_loop(plant_obj: FingerPlant, duties: array, dt: float, obj: ObjectModel | None = None) -> tuple:
+def _open_loop(plant_obj: FingerPlant, duties, dt: float, obj: ObjectModel | None = None) -> tuple:
     """``FingerPlant.step(duty, dt, obj)`` for each duty of a schedule fixed in
-    advance: (pressures, angles, contact forces) after each step, as float64
-    arrays.
+    advance (an ``array('d')`` or a list): (pressures, angles, contact forces)
+    after each step, as float64 arrays.
 
-    The pressure recurrence runs in floats, the bend and the contact in
-    numpy (``_bend``), and the plant is left in its last step's state.  A
-    ``dt`` the plant refuses raises its error before any step.
+    The target pressures ``k_duty * duty`` are one numpy product over the
+    schedule, the pressure recurrence runs in floats, the bend and the
+    contact in numpy (``_bend``), and the plant is left in its last step's
+    state.  A ``dt`` the plant refuses raises its error before any step.
     """
     plant_obj.check_dt(dt)
-    rate, k_duty = dt / plant_obj.tau_p, plant_obj.k_duty
+    rate = dt / plant_obj.tau_p
+    with np.errstate(all="ignore"):  # as Python floats reach inf, without warnings
+        targets = plant_obj.k_duty * np.asarray(duties, dtype=float)
     pressure = plant_obj.pressure
     pressures = array("d")
-    for duty in duties:
-        pressure += rate * (k_duty * duty - pressure)
+    for target in targets.tolist():
+        pressure += rate * (target - pressure)
         if pressure < 0.0:
             pressure = 0.0
         pressures.append(pressure)
@@ -305,12 +312,14 @@ def _open_loop(plant_obj: FingerPlant, duties: array, dt: float, obj: ObjectMode
 def _senses(plant_obj: FingerPlant, angles: np.ndarray, contact: np.ndarray):
     """``FingerPlant.sense`` of each state (true angle, contact force), one
     call per state, in order, as the returned iterator is read.  The states
-    become Python floats a block at a time, so a long run holds few."""
+    become Python floats a block at a time, so a long run holds few, and
+    each block's calls run as one ``map``, with no generator frame per tick."""
     with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
         forces = _horner(_weight_columns([plant_obj.internal_model]), angles) + contact
-    for k in range(0, len(angles), NOISE_BLOCK):
-        block = slice(k, k + NOISE_BLOCK)
-        yield from map(plant_obj.sense, angles[block].tolist(), forces[block].tolist())
+    return chain.from_iterable(
+        map(plant_obj.sense, angles[k : k + NOISE_BLOCK].tolist(), forces[k : k + NOISE_BLOCK].tolist())
+        for k in range(0, len(angles), NOISE_BLOCK)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +354,6 @@ def _weight_columns(models: list) -> list:
     top = max(m.degree for m in models)
     rows = [(0.0,) * (top - m.degree) + tuple(reversed(m.weights)) for m in models]
     return list(np.array(rows, dtype=float).T.copy())
-
-
-def _horner(columns: list, x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for w in columns:
-        acc = acc * x + w
-    return acc
 
 
 class Lanes:
@@ -650,18 +652,19 @@ def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = Fal
     hold_ticks = max(1, int(round(cal.hold_s / dt)))
     rest_ticks = max(1, int(round(cal.rest_s / dt)))
     duties = array("d")  # duty per tick, each cycle up to the peak, back down, then rest
-    ends = []  # per tick, True where its reading is a sample: each dwell's last tick
     for _ in range(cal.cycles):
         jittered = [
             min(MAX_DUTY, max(1.0, lv + level_rng.uniform(-cal.level_jitter, cal.level_jitter)))
             for lv in base_levels
         ]
+        for duty in jittered + jittered[-2::-1]:
+            duties += array("d", (duty,)) * hold_ticks
         # rest-dwell sample anchors the fit near zero bend, so later runs that
         # start from rest stay inside the calibrated range
-        dwells = [(duty, hold_ticks) for duty in jittered + jittered[-2::-1]] + [(0.0, rest_ticks)]
-        for duty, ticks in dwells:
-            duties += array("d", (duty,)) * ticks
-            ends += [False] * (ticks - 1) + [True]
+        duties += array("d", (0.0,)) * rest_ticks
+    # per tick, True where its reading is a sample: each dwell's last tick, alike in every cycle
+    held = [False] * (hold_ticks - 1) + [True]
+    ends = (held * (2 * cal.levels - 1) + [False] * (rest_ticks - 1) + [True]) * cal.cycles
     pressures, angles, contact = _open_loop(plant_obj, duties, dt)
     readings = _senses(plant_obj, angles, contact)
     if not with_trace:

@@ -7,6 +7,8 @@ package's layered API: ``FingerPlant.step``, ``FingerPlant.sense``,
 production kernels (``_open_loop``, ``_closed_loop`` and ``simulate_lanes``)
 repeat its arithmetic in a faster form, and the tests hold them to its bits,
 comparing with ``hexed`` and counting sensor reads with ``counted_senses``.
+``residual_sum_of_squares`` is the per-sample formula that calibration's
+array scoring reproduces.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import dataclasses
 from array import array
 from typing import Callable, NamedTuple
 
-from softgrip.calibration import PolynomialModel
+from softgrip.calibration import PolynomialModel, Sample
 from softgrip.config import Config
 from softgrip.control import Supervisor
 from softgrip.estimation import ContactDetector, contact_force
@@ -84,6 +86,11 @@ def build_supervisor(cfg: Config, target: float) -> Supervisor:
         approach_rate=sc.approach_rate,
         detector=ContactDetector(sc.contact_threshold),
     )
+
+
+def residual_sum_of_squares(model: PolynomialModel, samples: list[Sample]) -> float:
+    """One ``predict`` per sample, squared by ``**`` and summed in sample order."""
+    return float(sum((model.predict(s.angle) - s.force) ** 2 for s in samples))
 
 
 def hexed(value):

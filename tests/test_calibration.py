@@ -6,7 +6,11 @@ Covers:
 - BIC closed form, the +ln(n) penalty step, and the zero-RSS variance floor
 - degree selection: penalty tie-breaking, noisy-quartic selection over seeds,
   permutation invariance, R^2 of the selected model, and per-degree records
-  equal to ``bic_score`` / ``r_squared`` of each fit
+  equal to ``bic_score`` / ``r_squared`` of each fit, and one
+  ``fit_polynomial`` per degree
+- ``residual_sum_of_squares`` over arrays equals the per-sample formula bit
+  for bit, inf and NaN residuals included, and raises ``OverflowError``
+  where that formula's square overflows
 - angles whose powers overflow fail their degree as rank deficient
 - OLS invariants: residual orthogonality (column-normalized), nested-RSS
   monotonicity, small-instance oracle equivalence
@@ -20,7 +24,10 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from softgrip import calibration
 from softgrip.calibration import (
     SIGMA2_FLOOR,
     PolynomialModel,
@@ -41,6 +48,8 @@ from softgrip.errors import (
     SampleParseError,
     ZeroVarianceError,
 )
+
+import reference
 
 # The quartic used by the noiseless-recovery example.
 QUARTIC = (0.05, -0.01, 0.002, -0.0001, 0.000002)
@@ -208,6 +217,46 @@ def test_select_records_equal_the_scores_of_each_fit():
         assert rec.sigma2_hat.hex() == max(rss / len(samples), SIGMA2_FLOOR).hex()
         assert rec.bic.hex() == bic_score(model, samples).hex()
         assert rec.r_squared.hex() == r_squared(model, samples).hex()
+
+
+def test_select_fits_each_degree_once(monkeypatch):
+    degrees = []
+    real = calibration.fit_polynomial
+
+    def fit(samples, degree):
+        degrees.append(degree)
+        return real(samples, degree)
+
+    monkeypatch.setattr(calibration, "fit_polynomial", fit)
+    samples = poly_samples((0.1, 0.02, 3e-4), [2.0 * k for k in range(40)], noise=0.01, rng=random.Random(3))
+    select_model(samples, max_degree=6)
+    assert degrees == list(range(7))
+
+
+# ordinary values, and any float at all: huge, tiny, inf and NaN
+_ANY = st.one_of(st.floats(-200.0, 200.0), st.floats())
+_WEIGHT = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(_WEIGHT, min_size=1, max_size=7),
+    points=st.lists(st.tuples(_ANY, _ANY), min_size=1, max_size=40),
+)
+@example(weights=[0.5, 1.0], points=[(1.0, 2.0), (3.0, float("inf"))])  # an inf residual
+@example(weights=[0.5], points=[(float("nan"), 2.0), (1.0, 1.0)])  # a NaN residual
+@example(weights=[1.0, 1e300], points=[(float("inf"), 1.0), (2.0, 1.0)])  # 0 * inf in the Horner
+@example(weights=[0.0], points=[(1.0, 1.0), (2.0, 1e200)])  # a square that overflows
+def test_rss_is_the_per_sample_formula(weights, points):
+    model = PolynomialModel(len(weights) - 1, tuple(weights))
+    samples = [Sample(a, f) for a, f in points]
+    try:
+        expected = reference.residual_sum_of_squares(model, samples)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            residual_sum_of_squares(model, samples)
+        return
+    assert residual_sum_of_squares(model, samples).hex() == expected.hex()
 
 
 def test_select_requires_enough_samples():

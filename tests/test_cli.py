@@ -8,7 +8,9 @@ Covers:
   as does one whose contact comes on its last tick, and a hardness probe
   whose points in contact all read one force
 - the exact key sets of every JSON output
-- validate: normalized dump with defaults, per-field diagnostics
+- validate: normalized dump with defaults, per-field diagnostics, spans of
+  more than sys.maxsize ticks
+- a run whose spans cannot be held in memory exits 1 with one line
 - outputs land only under --out; manifest written alongside
 - --seed override recorded in the manifest
 - byte-identical re-runs from the same seed and from the manifest's embedded
@@ -193,6 +195,12 @@ def test_validate_unknown_key_exit_2(tmp_path, capsys):
     + [
         # contact detection is a plain threshold, with no hysteresis to set
         ({"supervisor.hysteresis_ratio": 0.5}, [], "unknown config key: supervisor.hysteresis_ratio"),
+    ]
+    + [
+        # more ticks than sys.maxsize: no list or array of them can be sized
+        ({"switching.duration_s": 1e300}, [], "switching.duration_s"),
+        ({"calibration.hold_s": 1e300}, [], "calibration.hold_s"),
+        ({"step.segment_s": 1e300}, [], "step.segment_s"),
     ],
 )
 def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args, field):
@@ -203,6 +211,25 @@ def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args,
         assert rc == 2
         assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_validate_rejects_more_ticks_than_sys_maxsize(tmp_path, capsys):
+    path = write_config(tmp_path, {"switching.duration_s": 1e300})
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "switching.duration_s" in capsys.readouterr().err
+
+
+# ~1e15 ticks each, 8 PB as float64: far past any address space, so the
+# allocation fails at once (a smaller span could be granted by an
+# overcommitting kernel and then fill memory)
+@pytest.mark.parametrize("extra", [{"switching.duration_s": 1.7e13}, {"calibration.hold_s": 1.7e13}])
+def test_run_out_of_memory_exit_1(tmp_path, capsys, extra):
+    path = write_config(tmp_path, extra)
+    rc = main(["run", "switch", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_grasp_out_of_range_names_the_trial(tmp_path, capsys):
