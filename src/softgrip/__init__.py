@@ -26,7 +26,7 @@ from .calibration import (
     r_squared,
     select_model,
 )
-from .control import PiController, Supervisor, positional_pi
+from .control import PiController, Supervisor
 from .estimation import ContactDetector, ContactEstimate, contact_force, internal_force
 from .plant import FingerPlant, ObjectModel, shake_test
 
@@ -45,7 +45,6 @@ __all__ = [
     "fit_polynomial",
     "internal_force",
     "load_samples",
-    "positional_pi",
     "r_squared",
     "select_model",
     "shake_test",

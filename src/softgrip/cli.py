@@ -66,6 +66,7 @@ def _write_manifest(out_dir: Path, experiment: str, cfg: Config, outputs: list) 
 
 
 def _out_dir(args) -> Path:
+    """``--out``, made once the experiment has returned, so a failed run leaves none."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -73,9 +74,9 @@ def _out_dir(args) -> Path:
 
 def cmd_calibrate(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(args)
     log.info("calibrating 3 fingers (seed %d)", cfg.seed)
     result = harness.run_calibration_experiment(cfg, with_trace=True)
+    out = _out_dir(args)
     outputs = []
     for finger, (report, samples, trace) in enumerate(
         zip(result.reports, result.sample_sets, result.traces), start=1
@@ -141,9 +142,9 @@ EXPERIMENTS = {
 
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(args)
     log.info("running experiment %r (seed %d, jobs %d)", args.experiment, cfg.seed, args.jobs)
     traces, name, payload = EXPERIMENTS[args.experiment](cfg, args.jobs)
+    out = _out_dir(args)
     for tname, trace in traces.items():
         trace.to_csv(out / tname)
     _json_dump(out / name, payload)

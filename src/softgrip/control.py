@@ -24,17 +24,6 @@ DEFAULT_APPROACH_RATE = 10.0  # duty-%/s
 DEFAULT_OUTPUT_MIN = 0.0  # duty-%, the lowest duty the controller commands
 
 
-def positional_pi(kp: float, ki: float, period: float, errors: list[float]) -> float:
-    """Closed-form u_n = kp*e_n + ki*T*sum(e_k) for an error sequence.
-
-    Reference evaluation used by the arithmetic oracle tests; the running
-    controller applies exactly this quantity as its per-tick duty adjustment.
-    """
-    if not errors:
-        raise ValueError("errors must be nonempty")
-    return kp * errors[-1] + ki * period * sum(errors)
-
-
 @dataclass
 class PiController:
     """Incremental PI controller state for one finger.

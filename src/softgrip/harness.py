@@ -34,9 +34,10 @@ sensors, so ``_press`` steps each position's mechanics once by
 ``_open_loop`` and ``Lanes.step`` share one bend law (``_bend``).  The
 kernels inline only per-tick arithmetic: the contact split, the step-size
 limit and the calibrated range come from ``plant`` and ``estimation``.  On
-every path each finger reads its sensors through its own
-``FingerPlant.sense``, which adds the finger's noise; the grasp lanes that
-share a plant seed read one noise stream.
+every path the kernel holds the true state, and each finger reads its
+sensors on it through its own ``FingerPlant.sense(angle, force)``, which
+adds the finger's noise; the grasp lanes that share a plant seed read one
+noise stream.
 
 A trace holds its numbers as ``array('d')`` columns (``Trace``), a quarter
 of the memory of lists of floats, built from the kernels' numpy arrays as
@@ -44,12 +45,12 @@ bytes or from the closed loop's lists once per run.
 
 ``tests/reference.py`` holds the reference model every path is checked
 against: ``simulate``, a tick loop that steps a few fingers one Python call
-at a time (``FingerPlant.step``, ``FingerPlant.sense``, ``contact_force``,
-and a policy closure that can drive a real ``Supervisor`` and
-``PiController``).  Each path wins over it where it is used.  On a 2-CPU VM
-(Python 3.11, numpy 2.4; in-process medians, the range of two sessions) the
-default grasp sweep took 0.30-0.45 s batched against 1.9-2.3 s on the
-reference, the estimation sweep 0.09-0.10 s against 0.35-0.46 s, the step
+at a time (``FingerPlant.step``, its ``sense`` of the plant's own state,
+``contact_force``, and a policy closure that can drive a real
+``Supervisor`` and ``PiController``).  Each path wins over it where it is
+used.  On a 2-CPU VM (Python 3.11, numpy 2.4; in-process medians, the range
+of two sessions) the default grasp sweep took 0.30-0.45 s batched against
+1.9-2.3 s on the reference, the estimation sweep 0.09-0.10 s against 0.35-0.46 s, the step
 response 0.09-0.12 s on ``_closed_loop`` against 0.28-0.34 s, and the
 switching experiment 0.032 s against 0.074-0.091 s.
 ``tests/test_open_loop*.py``, ``tests/test_closed_loop.py``
@@ -305,7 +306,6 @@ def _open_loop(plant_obj: FingerPlant, duties, dt: float, obj: ObjectModel | Non
         plant_obj.pressure, plant_obj.angle, plant_obj.contact_force = (
             float(pressures[-1]), float(angles[-1]), float(forces[-1])
         )
-        plant_obj._stepped = True
     return pressures, angles, forces
 
 
@@ -315,7 +315,7 @@ def _senses(plant_obj: FingerPlant, angles: np.ndarray, contact: np.ndarray):
     become Python floats a block at a time, so a long run holds few, and
     each block's calls run as one ``map``, with no generator frame per tick."""
     with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
-        forces = _horner(_weight_columns([plant_obj.internal_model]), angles) + contact
+        forces = _horner(reversed(plant_obj.internal_model.weights), angles) + contact
     return chain.from_iterable(
         map(plant_obj.sense, angles[k : k + NOISE_BLOCK].tolist(), forces[k : k + NOISE_BLOCK].tolist())
         for k in range(0, len(angles), NOISE_BLOCK)
@@ -423,17 +423,17 @@ class Lanes:
         self.contact_force = np.where(alive, force, self.contact_force)
 
     def sense(self) -> tuple:
-        """``FingerPlant.sense``'s (angle_meas, force_meas) of every alive lane,
-        given the true state the lanes hold, returned as ``estimate`` takes
-        them: (force_meas, angle_meas) arrays, the last values for the others."""
+        """``FingerPlant.sense``'s (angle_meas, force_meas) of every alive lane
+        on the true state the lanes hold, as arrays, the last values for the
+        others."""
         live = np.flatnonzero(self.alive)
         force = _horner(self.true_columns, self.angle) + self.contact_force
         plants = self.plants if len(live) == self.n else [self.plants[k] for k in live]
         angles, forces = self.angle[live].tolist(), force[live].tolist()
         self.angle_meas[live], self.force_meas[live] = zip(*map(FingerPlant.sense, plants, angles, forces))
-        return self.force_meas, self.angle_meas
+        return self.angle_meas, self.force_meas
 
-    def estimate(self, force_meas: np.ndarray, angle_meas: np.ndarray) -> np.ndarray:
+    def estimate(self, angle_meas: np.ndarray, force_meas: np.ndarray) -> np.ndarray:
         """``contact_force(...).contact``; a lane out of its model's range fails."""
         out = self.alive & ((angle_meas < self.lo) | (angle_meas > self.hi))
         if out.any():
@@ -676,7 +676,7 @@ def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = Fal
     samples = [Sample(*r) for r in pairs[np.flatnonzero(ends)].tolist()]
     angle_meas, f_m = pairs.T
     with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
-        internal = _horner(_weight_columns([plant_obj.internal_model]), angle_meas)
+        internal = _horner(reversed(plant_obj.internal_model.weights), angle_meas)
         internal = np.where(internal > 0.0, internal, 0.0)
         estimate = f_m - internal
     times = array("d", accumulate(repeat(dt, n - 1), initial=0.0))

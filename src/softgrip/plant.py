@@ -3,9 +3,10 @@
 Stands in for the hardware: PWM duty drives chamber pressure through a
 first-order lag, pressure bends the finger linearly, and contact with an
 object splits the free bend between finger and object compliance in series.
-The force sensor reads the bending-induced internal force plus the true
-contact force, with Gaussian noise and a first-order digital low-pass
-(the stand-in for a pneumatic PWM-ripple filter).
+The sensors read a true state their caller passes in: the force sensor
+reads the bending-induced internal force plus the true contact force, with
+Gaussian noise and a first-order digital low-pass (the stand-in for a
+pneumatic PWM-ripple filter).
 
 All randomness comes from a per-plant ``random.Random`` seeded at
 construction, so identical seed + command sequence reproduces traces
@@ -179,7 +180,6 @@ class FingerPlant:
         self.angle = 0.0  # deg
         self.contact_force = 0.0  # N, true force against the object
         self._filter_state: float | None = None
-        self._stepped = False
 
     def check_dt(self, dt: float) -> None:
         """Raise ValueError unless ``step`` can integrate a tick of ``dt``."""
@@ -211,32 +211,20 @@ class FingerPlant:
         else:
             self.angle = theta_free
             self.contact_force = 0.0
-        self._stepped = True
 
-    def sense(self, angle: float | None = None, force: float | None = None) -> tuple:
-        """Read the sensors for the current state: the pair (angle_meas,
-        force_meas), the measured bend angle (deg) then the filtered force
-        (N), as Python floats given floats.  A plain tuple, since every
-        finger-tick reads one.
+    def sense(self, angle: float, force: float) -> tuple:
+        """Read the sensors on the true bend ``angle`` (deg) and the noiseless
+        ``force`` = ``internal_model.predict(angle)`` + contact force (N), as
+        the caller holds them: the pair (angle_meas, force_meas), Python
+        floats given floats.  A plain tuple, since every finger-tick reads one.
 
-        raw force = max(0, internal(angle) + contact + noise) -- the FSR
-        cannot read negative.  The filter state initializes on the first
-        sample, so with noise off a constant input is reproduced exactly
-        from the first reading.
-
-        A stepper that holds the mechanical state outside the plant (the
-        harness's lockstep batch) passes the true ``angle`` and the
-        noiseless ``force`` = internal(angle) + contact instead; the noise
-        and the filter are this plant's either way.
-
-        Each channel with a positive sigma adds the next value of ``noise``
-        times its sigma, force first, as ``rng.gauss(0.0, sigma)`` would.
+        The noise, the floor and the filter are the plant's: raw force =
+        max(0, force + noise) -- the FSR cannot read negative -- and the
+        filter state initializes on the first sample, so with noise off a
+        constant input is reproduced exactly from the first reading.  Each
+        channel with a positive sigma adds the next value of ``noise`` times
+        its sigma, force first, as ``rng.gauss(0.0, sigma)`` would.
         """
-        if angle is None:
-            if not self._stepped:
-                raise RuntimeError("sense() before the first step()")
-            angle = self.angle
-            force = self.internal_model.predict(angle) + self.contact_force
         values, k = self._block, self._k
         sigma = self.noise_sigma
         if sigma > 0.0:

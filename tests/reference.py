@@ -1,14 +1,16 @@
 """The reference tick loop every kernel of ``softgrip.harness`` is checked against.
 
 ``simulate`` steps a few fingers one Python call at a time, through the
-package's layered API: ``FingerPlant.step``, ``FingerPlant.sense``,
-``contact_force`` and a policy closure, which can drive a real
-``Supervisor`` and ``PiController``.  It is slow and plain on purpose.  The
-production kernels (``_open_loop``, ``_closed_loop`` and ``simulate_lanes``)
-repeat its arithmetic in a faster form, and the tests hold them to its bits,
-comparing with ``hexed`` and counting sensor reads with ``counted_senses``.
+package's layered API: ``FingerPlant.step``, ``sense`` (``FingerPlant.sense``
+of the plant's own state), ``contact_force`` and a policy closure, which
+can drive a real ``Supervisor`` and ``PiController``.  It is slow and plain
+on purpose.  The production kernels (``_open_loop``, ``_closed_loop`` and
+``simulate_lanes``) hold the state themselves and repeat its arithmetic in a
+faster form, and the tests hold them to its bits, comparing with ``hexed``
+and counting sensor reads with ``counted_senses``.
 ``residual_sum_of_squares`` is the per-sample formula that calibration's
-array scoring reproduces.
+array scoring reproduces, and ``positional_pi`` the closed form that the
+controller's increments add up to.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def simulate(cfg: Config, lanes: list, n_ticks: int) -> None:
         lane.plant.step(lane.duty, dt)
     for i in range(n_ticks):
         for plant_obj, model, obj, _, policy, record in lanes:
-            reading = plant_obj.sense()
+            reading = sense(plant_obj)
             estimate = None
             if model is not None:
                 estimate = contact_force(reading, model, margin)
@@ -62,6 +64,13 @@ def simulate(cfg: Config, lanes: list, n_ticks: int) -> None:
             plant_obj.step(duty, dt, obj)
             if record is not None:
                 record(i, duty, reading, estimate)
+
+
+def sense(plant_obj: FingerPlant) -> tuple:
+    """``FingerPlant.sense`` of the plant's own state: its angle, and its
+    internal model's force there plus its contact force."""
+    angle = plant_obj.angle
+    return plant_obj.sense(angle, plant_obj.internal_model.predict(angle) + plant_obj.contact_force)
 
 
 def trace_row(trace: Trace, plant_obj: FingerPlant, t, duty, reading, estimate, mode) -> None:
@@ -86,6 +95,14 @@ def build_supervisor(cfg: Config, target: float) -> Supervisor:
         approach_rate=sc.approach_rate,
         detector=ContactDetector(sc.contact_threshold),
     )
+
+
+def positional_pi(kp: float, ki: float, period: float, errors: list[float]) -> float:
+    """Closed-form u_n = kp*e_n + ki*T*sum(e_k) for an error sequence: the
+    quantity ``PiController.step`` applies as its per-tick duty adjustment."""
+    if not errors:
+        raise ValueError("errors must be nonempty")
+    return kp * errors[-1] + ki * period * sum(errors)
 
 
 def residual_sum_of_squares(model: PolynomialModel, samples: list[Sample]) -> float:

@@ -39,9 +39,9 @@ from softgrip.calibration import PolynomialModel
 from softgrip.config import config_from_dict, default_config, validate
 from softgrip.errors import NonFiniteError, OutOfRangeError, SoftgripError
 from softgrip.harness import GraspOutcome, EstimationRow
-from softgrip.plant import NOISE_BLOCK, FingerPlant, ObjectModel
+from softgrip.plant import NOISE_BLOCK, ObjectModel
 
-from reference import Lane, build_supervisor, hexed, simulate
+from reference import Lane, build_supervisor, counted_senses, hexed, simulate
 
 # ---------------------------------------------------------------------------
 # Oracles: the scalar bodies the batch replaced
@@ -478,35 +478,22 @@ def test_empty_sweeps_return_nothing(jobs):
 # ---------------------------------------------------------------------------
 # Sensing: one sense call per live lane-tick, one noise stream per plant seed
 
-def counted_senses(monkeypatch) -> list:
-    """Patch ``FingerPlant.sense`` to count its calls into the returned one-item list."""
-    calls = [0]
-    real = FingerPlant.sense
-
-    def sense(self, *args):
-        calls[0] += 1
-        return real(self, *args)
-
-    monkeypatch.setattr(FingerPlant, "sense", sense)
-    return calls
-
-
-def test_one_sense_call_per_live_lane_tick(monkeypatch):
+def test_one_sense_call_per_live_lane_tick():
     cfg = build(SHARED)
     models = fitted_models(cfg, None, False)
-    calls = counted_senses(monkeypatch)
     trials = grasp_trials(cfg)
-    outcomes, error, _ = run(harness._grasp_outcomes, cfg, cfg.seed, models, trials)
-    assert error is None and len(outcomes) == len(trials) == 12
-    # every grasp lane lives for the whole run
-    assert calls[0] == 3 * len(trials) * int(round(cfg.grasp.duration_s / cfg.controller.period))
-    # each scalar tick is one sense call, so the oracle counts the live lane-ticks
-    calls[0] = 0
-    rows, error, _ = run(harness.run_estimation_accuracy, cfg, cfg.seed, models)
-    batched = calls[0]
-    calls[0] = 0
-    assert (rows, error) == run(oracle_estimation_rows, cfg, cfg.seed, models)[:2]
-    assert batched == calls[0] > 0
+    with counted_senses() as calls:
+        outcomes, error, _ = run(harness._grasp_outcomes, cfg, cfg.seed, models, trials)
+        assert error is None and len(outcomes) == len(trials) == 12
+        # every grasp lane lives for the whole run
+        assert calls[0] == 3 * len(trials) * int(round(cfg.grasp.duration_s / cfg.controller.period))
+        # each scalar tick is one sense call, so the oracle counts the live lane-ticks
+        calls[0] = 0
+        rows, error, _ = run(harness.run_estimation_accuracy, cfg, cfg.seed, models)
+        batched = calls[0]
+        calls[0] = 0
+        assert (rows, error) == run(oracle_estimation_rows, cfg, cfg.seed, models)[:2]
+        assert batched == calls[0] > 0
     assert len({r[-1] for r in rows}) > 1  # the cells end in different ways, at different ticks
 
 

@@ -230,6 +230,19 @@ def test_run_out_of_memory_exit_1(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_calibrate_makes_no_out_and_keeps_an_existing_one(tmp_path, capsys):
+    path = write_config(tmp_path, {"calibration.hold_s": 1.7e13})
+    assert main(["calibrate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "earlier.txt").write_text("an earlier run's file")
+    assert main(["calibrate", "--config", str(path), "--out", str(kept)]) == 1
+    assert [p.name for p in kept.iterdir()] == ["earlier.txt"]
+    assert capsys.readouterr().err.count("error: out of memory") == 2
 
 
 def test_grasp_out_of_range_names_the_trial(tmp_path, capsys):
@@ -248,6 +261,7 @@ def test_grasp_out_of_range_names_the_trial(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: grasp of plastic_cup at 4.0 N, trial 0: angle ")
     assert "outside calibrated range" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_switch_huge_target_exit_0(tmp_path, capsys):

@@ -14,9 +14,11 @@ import random
 
 import pytest
 
-from softgrip.control import Mode, PiController, Supervisor, positional_pi
+from softgrip.control import Mode, PiController, Supervisor
 from softgrip.errors import NonFiniteError
 from softgrip.estimation import ContactEstimate
+
+from reference import positional_pi
 
 
 def make_ctrl(**kw):

@@ -28,6 +28,8 @@ from softgrip.estimation import (
 from softgrip.harness import _build_plant
 from softgrip.plant import FingerPlant
 
+from reference import sense
+
 
 def truth_model(finger=0):
     """Ground-truth internal-force model, as the harness builds it for ``finger``."""
@@ -173,7 +175,7 @@ def _free_space_run(seed: int, duration_s: float = 10.0):
         elif t > 6.0:
             duty = max(0.0, duty - 20.0 * dt)
         plant.step(duty, dt)
-        angle_meas, force_meas = plant.sense()
+        angle_meas, force_meas = sense(plant)
         estimates.append(force_meas - max(0.0, model.predict(angle_meas)))
     return estimates
 

@@ -14,7 +14,8 @@ Covers:
 - hardness: stiff/soft classification, and no classification in free
   space, for points of one force, or without a detected contact
 - the tick kernel: calibration with and without a trace, early exit, and
-  the module names the benchmark's tracer wraps
+  one ``contact_force`` per hardness-probe tick, looked up where the
+  benchmark's tracer wraps it
 - over generated small configs, every numeric column of the calibration,
   step, switching and hardness traces is an ``array('d')``, every number read
   from it a Python float (a numpy scalar's repr would reach the CSV), and
@@ -398,26 +399,7 @@ def test_simulate_stops_before_stepping_when_policy_returns_none(cfg):
     assert plant.pressure == reference.pressure
 
 
-# names bench/child.py wraps on ``softgrip.harness`` to split and trace a run
-BENCH_WRAPPED = (
-    "shake_test",
-    "contact_force",
-    "derive_seed",
-    "grasp_trial",
-    "calibrate_finger",
-    "run_calibration_experiment",
-    "run_step_response",
-    "run_switching_experiment",
-    "run_grasp_sweep",
-    "run_hardness_probe",
-    "run_estimation_accuracy",
-)
-
-
-def test_benchmark_wrapped_names_exist(cfg, models, monkeypatch):
-    for name in BENCH_WRAPPED:
-        assert callable(getattr(harness, name)), name
-    assert callable(harness.Trace.append) and callable(harness.Trace.to_csv)
+def test_probe_hardness_calls_contact_force_once_per_tick(cfg, models, monkeypatch):
     # the kernel looks the estimator up as a harness global, where it is wrapped
     calls = []
     estimate = harness.contact_force

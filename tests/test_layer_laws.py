@@ -23,8 +23,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softgrip.calibration import PolynomialModel, Sample, fit_polynomial
-from softgrip.control import PiController, positional_pi
+from softgrip.control import PiController
 from softgrip.plant import FingerPlant, ObjectModel
+
+from reference import positional_pi
 
 
 def floats(lo: float, hi: float):

@@ -68,7 +68,7 @@ def fresh_plant(params: dict, pressure: float) -> FingerPlant:
 
 
 def state(plant_obj: FingerPlant) -> list:
-    return hexed([plant_obj.pressure, plant_obj.angle, plant_obj.contact_force]) + [plant_obj._stepped]
+    return hexed([plant_obj.pressure, plant_obj.angle, plant_obj.contact_force])
 
 
 @settings(max_examples=150, deadline=None)

