@@ -83,7 +83,7 @@ class Supervisor:
     happens exactly once per attempt; the detector is not consulted after it.
 
     The reference model of the switching law: the experiments run it inlined
-    (``harness._closed_loop``, ``harness._supervisor_policy``), and the tests
+    (``harness._closed_loop``, ``harness._grasp_lanes``), and the tests
     hold both to a ``Supervisor`` stepped by ``tests/reference.py``.
     """
 

@@ -22,16 +22,17 @@ Three tick kernels step the experiments, and give the same bits:
   derives the bend, the true contact and the estimate from them in numpy
   after the loop.  The step response (5 runs of 7,200 ticks) and the
   switching experiment (10 runs of 900) use it.
-- ``simulate_lanes`` steps the grasp sweep (540 lanes of 600 ticks), whose
-  duty feeds back on each finger's estimate, in lockstep as numpy arrays
-  (``Lanes``), in batches of at most ``BATCH_LANES``.
+- ``_grasp_lanes`` steps the grasp sweep (540 lanes of 600 ticks), whose
+  duty feeds back on each finger's estimate, in lockstep, with each state
+  quantity one float64 or bool array over the lanes, in batches of at most
+  ``BATCH_LANES``.
 
 The estimation sweep's press follows the scale's true force, never the
 sensors, so ``_press`` steps each position's mechanics once by
 ``FingerPlant.step``, and each cell reads its own sensors over them through
 ``_senses``.
 
-``_open_loop`` and ``Lanes.step`` share one bend law (``_bend``).  The
+``_open_loop`` and ``_grasp_lanes`` share one bend law (``_bend``).  The
 kernels inline only per-tick arithmetic: the contact split, the step-size
 limit and the calibrated range come from ``plant`` and ``estimation``.  On
 every path the kernel holds the true state, and each finger reads its
@@ -356,158 +357,119 @@ def _weight_columns(models: list) -> list:
     return list(np.array(rows, dtype=float).T.copy())
 
 
-class Lanes:
-    """Fingers stepped in lockstep by ``simulate_lanes``: each lane's plant,
-    estimator and controller state as float64/bool arrays over lanes.
+def _grasp_lanes(
+    cfg: Config, plants: list, models: list, objs: list, targets: list, n_ticks: int, tail_from: int
+) -> tuple:
+    """The grasp sweep's fingers stepped in lockstep as numpy arrays over
+    lanes, lanes ``3k..3k+2`` being trial ``k``: up to ``n_ticks`` ticks of
+    sense -> estimate -> ``Supervisor.step`` with its ``PiController`` ->
+    ``FingerPlant.step`` -> record for every alive lane at once, after one
+    free-space step at duty 0.  Returns (peak, tail_sums, errors by trial):
+    each lane's peak true contact force and its sum over the ticks from
+    ``tail_from``, and each failed trial's error.
 
     Built from the FingerPlants ``_build_plant`` returns, which share
     ``cfg.plant``'s parameters and bring their own internal model, noise
-    stream and sensor filter, plus each lane's fitted model and object.  The
-    lanes hold the mechanical state, and each lane-tick is one call of the
-    lane's ``FingerPlant.sense`` on that state, returning the pair
-    (angle_meas, force_meas), as on the reference tick loop.  Every other operation
-    repeats the scalar one in order (Python's ``max(a, b)`` is
-    ``np.where(b > a, b, a)``), so a lane reproduces its reference run bit
-    for bit.  ``group`` numbers the lanes that fail together (a grasp trial's fingers).
-    """
-
-    def __init__(self, cfg: Config, plants: list, models: list, objs: list, group: np.ndarray):
-        self.plants = plants  # each lane's noise stream and sensor filter
-        self.models = models
-        self.n = len(plants)
-        p = plants[0]  # the parameters every lane shares
-        self.group = group
-        self.tau_p, self.k_duty, self.bend_gain = p.tau_p, p.k_duty, p.bend_gain
-        self.angle_max = p.angle_max
-        self.true_columns = _weight_columns([plant.internal_model for plant in plants])
-        self.fit_columns = _weight_columns(models)
-        self.margin = cfg.supervisor.extrapolation_margin
-        self.lo, self.hi = np.array([calibrated_range(m, self.margin) for m in models]).T
-        # (position, stiffness, share), one array each over the lanes
-        contacts = [contact_split(p.finger_stiffness, o) for o in objs]
-        self.contact = tuple(np.array(column, dtype=float) for column in zip(*contacts))
-        # one array each, so an in-place write to one leaves the others alone
-        self.pressure, self.angle, self.contact_force = (np.zeros(self.n) for _ in range(3))
-        self.force_meas, self.angle_meas = np.zeros(self.n), np.zeros(self.n)
-        self.duty, self.integral = np.zeros(self.n), np.zeros(self.n)
-        self.force_mode = np.zeros(self.n, dtype=bool)
-        self.alive = np.ones(self.n, dtype=bool)
-        self.errors = {}  # lane -> its first error
-
-    def fail(self, mask: np.ndarray, error: Callable) -> None:
-        """End the lanes in ``mask``, recording ``error(lane)`` for each."""
-        for k in np.flatnonzero(mask):
-            self.errors[k] = error(k)
-        self.alive &= ~mask
-
-    def group_errors(self) -> dict:
-        """Each failed group's error: that of its first failing lane.
-
-        A group ends with the tick its first lane fails, so its errors come
-        from one tick, and the first lane's is the one the scalar loop,
-        visiting the lanes in order, would have raised.
-        """
-        first = {}
-        for k in sorted(self.errors):
-            first.setdefault(self.group[k], self.errors[k])
-        return first
-
-    def step(self, duty: np.ndarray, dt: float, free: bool = False) -> None:
-        """``FingerPlant.step`` for every alive lane; ``free`` leaves objects out."""
-        pressure = self.pressure + (dt / self.tau_p) * (self.k_duty * duty - self.pressure)
-        pressure = np.where(pressure < 0.0, 0.0, pressure)
-        angle, force = _bend(pressure, self.bend_gain, self.angle_max, None if free else self.contact)
-        alive = self.alive
-        self.pressure = np.where(alive, pressure, self.pressure)
-        self.angle = np.where(alive, angle, self.angle)
-        self.contact_force = np.where(alive, force, self.contact_force)
-
-    def sense(self) -> tuple:
-        """``FingerPlant.sense``'s (angle_meas, force_meas) of every alive lane
-        on the true state the lanes hold, as arrays, the last values for the
-        others."""
-        live = np.flatnonzero(self.alive)
-        force = _horner(self.true_columns, self.angle) + self.contact_force
-        plants = self.plants if len(live) == self.n else [self.plants[k] for k in live]
-        angles, forces = self.angle[live].tolist(), force[live].tolist()
-        self.angle_meas[live], self.force_meas[live] = zip(*map(FingerPlant.sense, plants, angles, forces))
-        return self.angle_meas, self.force_meas
-
-    def estimate(self, angle_meas: np.ndarray, force_meas: np.ndarray) -> np.ndarray:
-        """``contact_force(...).contact``; a lane out of its model's range fails."""
-        out = self.alive & ((angle_meas < self.lo) | (angle_meas > self.hi))
-        if out.any():
-            models, margin = self.models, self.margin
-            self.fail(out, lambda k: _raised(internal_force, models[k], float(angle_meas[k]), margin))
-        internal = _horner(self.fit_columns, angle_meas)
-        return force_meas - np.where(internal > 0.0, internal, 0.0)
-
-
-def simulate_lanes(cfg: Config, lanes: Lanes, n_ticks: int, policy: Callable, record: Callable) -> None:
-    """The batched ``simulate``: up to ``n_ticks`` ticks of sense -> estimate
-    -> policy -> step -> record for every alive lane at once.
-
-    ``policy(i, contact)`` returns tick ``i``'s duty per lane and ends a lane
-    by clearing ``lanes.alive`` before the step; ``record(i)`` runs after
-    the step.  A lane's first error ends its group with the tick.
+    stream and sensor filter, plus each lane's fitted model, object and
+    target.  Each lane-tick is one call of the lane's ``FingerPlant.sense``
+    on the true state.  Every other operation repeats the scalar one in
+    order (Python's ``max(a, b)`` is ``np.where(b > a, b, a)``), so a lane
+    reproduces its reference run bit for bit.  A failing lane ends its trial
+    with the tick, and a trial's error is its lowest failing lane's, the one
+    the scalar loop, visiting the lanes in order, would have raised.
     """
     dt = cfg.controller.period
-    lanes.plants[0].check_dt(dt)
-    with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
-        lanes.step(lanes.duty, dt, free=True)
-        for i in range(n_ticks):
-            if not lanes.alive.any():
-                return
-            contact = lanes.estimate(*lanes.sense())
-            duty = policy(i, contact)
-            lanes.step(duty, dt)
-            record(i)
-            if lanes.errors:
-                failed = [lanes.group[k] for k in lanes.errors]
-                lanes.alive &= ~np.isin(lanes.group, failed)
-
-
-def _supervisor_policy(cfg: Config, lanes: Lanes, targets: np.ndarray) -> Callable:
-    """``Supervisor.step`` with its ``PiController`` for every alive lane, as
-    a ``simulate_lanes`` policy; the lanes hold the controller state."""
-    cc = cfg.controller
-    lo, hi, dt = cc.output_min, cc.output_max, cc.period
+    p = plants[0]  # the parameters every lane shares
+    p.check_dt(dt)  # raises FingerPlant.step's error before any step
     # built once, with the checks the reference makes when it builds them
-    sc = cfg.supervisor
-    detector = ContactDetector(sc.contact_threshold)
+    detector = ContactDetector(cfg.supervisor.contact_threshold)
     ctrl = _build_controller(cfg)
+    kp, ki, out_lo, out_hi = ctrl.kp, ctrl.ki, ctrl.output_min, ctrl.output_max
     approach_step = cfg.supervisor.approach_rate * dt
-
-    def supervise(i, contact):
-        approach = lanes.alive & ~lanes.force_mode
-        bad = approach & ~np.isfinite(contact)
-        if bad.any():
-            lanes.fail(bad, lambda k: _raised(detector.update, float(contact[k])))
-            approach &= ~bad
-        fired = approach & (contact >= detector.threshold)
-        lanes.force_mode = lanes.force_mode | fired
-        integral = np.where(fired, 0.0, lanes.integral)  # ctrl.reset() at the switch
-        ramp = lanes.duty + approach_step
-        ramp = np.where(ramp > lo, ramp, lo)
-        duty = np.where(approach & ~fired, np.where(ramp < hi, ramp, hi), lanes.duty)
-        force = lanes.alive & lanes.force_mode
-        bad = force & ~(np.isfinite(targets) & np.isfinite(contact) & np.isfinite(duty))
-        if bad.any():
-            lanes.fail(
-                bad, lambda k: _raised(ctrl.step, float(targets[k]), float(contact[k]), float(duty[k]))
-            )
-            force &= ~bad
-        error = targets - contact
-        candidate = integral + error * dt
-        raw = duty + (cc.kp * error + cc.ki * candidate)
-        clamped = np.where(raw > lo, raw, lo)
-        clamped = np.where(clamped < hi, clamped, hi)
-        winding_up = ((raw > hi) & (error > 0.0)) | ((raw < lo) & (error < 0.0))
-        lanes.integral = np.where(force & ~winding_up, candidate, integral)
-        lanes.duty = np.where(force, clamped, duty)
-        return lanes.duty
-
-    return supervise
+    rate, k_duty, bend_gain, angle_max = dt / p.tau_p, p.k_duty, p.bend_gain, p.angle_max
+    n = len(plants)
+    true_columns = _weight_columns([plant.internal_model for plant in plants])
+    fit_columns = _weight_columns(models)
+    margin = cfg.supervisor.extrapolation_margin
+    angle_lo, angle_hi = np.array([calibrated_range(m, margin) for m in models]).T
+    # (position, stiffness, share), one array each over the lanes
+    contacts = [contact_split(p.finger_stiffness, o) for o in objs]
+    split = tuple(np.array(column, dtype=float) for column in zip(*contacts))
+    targets = np.array(targets, dtype=float)
+    # one array each, so an in-place write to one leaves the others alone
+    pressure, angle_meas, force_meas, duty, integral, peak, tail_sums = (np.zeros(n) for _ in range(7))
+    force_mode = np.zeros(n, dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    trial = np.arange(n) // 3
+    errors = {}  # lane -> its first error
+    with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
+        # FingerPlant.step in free space at duty 0, before the first tick
+        pressure = pressure + rate * (k_duty * duty - pressure)
+        pressure = np.where(pressure < 0.0, 0.0, pressure)
+        angle, contact_true = _bend(pressure, bend_gain, angle_max, None)
+        for i in range(n_ticks):
+            if not alive.any():
+                break
+            # FingerPlant.sense of every alive lane; the others keep their last readings
+            live = np.flatnonzero(alive)
+            noiseless = _horner(true_columns, angle) + contact_true
+            lane_plants = plants if len(live) == n else [plants[k] for k in live]
+            angles, forces = angle[live].tolist(), noiseless[live].tolist()
+            angle_meas[live], force_meas[live] = zip(*map(FingerPlant.sense, lane_plants, angles, forces))
+            # contact_force(...).contact; a lane out of its model's range fails
+            out = alive & ((angle_meas < angle_lo) | (angle_meas > angle_hi))
+            if out.any():
+                for k in np.flatnonzero(out):
+                    errors[k] = _raised(internal_force, models[k], float(angle_meas[k]), margin)
+                alive &= ~out
+            internal = _horner(fit_columns, angle_meas)
+            contact = force_meas - np.where(internal > 0.0, internal, 0.0)
+            # Supervisor.step: approach until the detector fires
+            approach = alive & ~force_mode
+            bad = approach & ~np.isfinite(contact)
+            if bad.any():
+                for k in np.flatnonzero(bad):
+                    errors[k] = _raised(detector.update, float(contact[k]))
+                alive &= ~bad
+                approach &= ~bad
+            fired = approach & (contact >= detector.threshold)
+            force_mode |= fired
+            integral = np.where(fired, 0.0, integral)  # ctrl.reset() at the switch
+            ramp = duty + approach_step
+            ramp = np.where(ramp > out_lo, ramp, out_lo)
+            duty = np.where(approach & ~fired, np.where(ramp < out_hi, ramp, out_hi), duty)
+            # PiController.step in force control
+            force = alive & force_mode
+            bad = force & ~(np.isfinite(targets) & np.isfinite(contact) & np.isfinite(duty))
+            if bad.any():
+                for k in np.flatnonzero(bad):
+                    errors[k] = _raised(ctrl.step, float(targets[k]), float(contact[k]), float(duty[k]))
+                alive &= ~bad
+                force &= ~bad
+            error = targets - contact
+            candidate = integral + error * dt
+            raw = duty + (kp * error + ki * candidate)
+            clamped = np.where(raw > out_lo, raw, out_lo)
+            clamped = np.where(clamped < out_hi, clamped, out_hi)
+            winding_up = ((raw > out_hi) & (error > 0.0)) | ((raw < out_lo) & (error < 0.0))
+            integral = np.where(force & ~winding_up, candidate, integral)
+            duty = np.where(force, clamped, duty)
+            # FingerPlant.step of every alive lane
+            stepped = pressure + rate * (k_duty * duty - pressure)
+            stepped = np.where(stepped < 0.0, 0.0, stepped)
+            bent, pressed = _bend(stepped, bend_gain, angle_max, split)
+            pressure = np.where(alive, stepped, pressure)
+            angle = np.where(alive, bent, angle)
+            contact_true = np.where(alive, pressed, contact_true)
+            np.copyto(peak, contact_true, where=contact_true > peak)
+            if i >= tail_from:
+                np.add(tail_sums, contact_true, out=tail_sums)
+            if errors:  # a failed lane's trial ends with the tick
+                alive &= ~np.isin(trial, [trial[k] for k in errors])
+    by_trial = {}
+    for k in sorted(errors):
+        by_trial.setdefault(trial[k], errors[k])
+    return peak, tail_sums, by_trial
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +486,8 @@ def _closed_loop(
     force_mode: bool,
 ) -> Trace:
     """One finger under ``Supervisor.step`` and its ``PiController``, one
-    tick per target, in plain floats: the scalar twin of ``simulate_lanes``
-    with ``_supervisor_policy``, recording a trace.
+    tick per target, in plain floats: the scalar twin of ``_grasp_lanes``,
+    recording a trace.
 
     ``force_mode`` starts the loop under the controller from ``duty``; else
     it approaches from ``duty`` until the contact detector fires, and the
@@ -641,7 +603,7 @@ def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = Fal
     the filter advance as they would in a tick loop.  Tick ``i`` reads the
     state its duty drove; the last dwell tick of each level, and of the rest,
     gives a sample.  The trace's estimate is ``contact_force``'s against the
-    plant's own internal model, with the arithmetic of ``Lanes``.
+    plant's own internal model, with the arithmetic of ``_grasp_lanes``.
     """
     cal = cfg.calibration
     dt = cfg.controller.period
@@ -821,7 +783,10 @@ def run_step_response(cfg: Config, seed: int | None = None, models=None) -> list
     duration = 2.0 * sc.segment_s
     dt = cfg.controller.period
     n = int(round(duration / dt))
-    targets = [sc.first_target if i * dt < sc.segment_s else sc.second_target for i in range(n)]
+    # the first tick with i * dt >= segment_s; the list is built whole, so a
+    # span too long for memory fails at once
+    k = bisect_left(range(n), sc.segment_s, key=dt.__rmul__)
+    targets = [sc.first_target] * k + [sc.second_target] * (n - k)
     results = []
     for s in range(sc.n_seeds):
         plant_obj = _build_plant(cfg, 0, derive_seed(master, "step", s))
@@ -932,20 +897,11 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
         plant_obj.noise = streams.setdefault(seed, plant_obj.noise)
         plants.append(plant_obj)
     lane_objs = [objs[name] for name, _, _ in fingers]
-    lanes = Lanes(cfg, plants, list(models) * len(trials), lane_objs, group=np.arange(len(fingers)) // 3)
     dt = cfg.controller.period
     n = int(round(cfg.grasp.duration_s / dt))
     tail_from = max(0, n - int(round(cfg.grasp.settle_window_s / dt)))
-    peak, tail_sums = np.zeros(lanes.n), np.zeros(lanes.n)
-
-    def record(i):
-        force = lanes.contact_force
-        np.copyto(peak, force, where=force > peak)
-        if i >= tail_from:
-            np.add(tail_sums, force, out=tail_sums)
-
-    simulate_lanes(cfg, lanes, n, _supervisor_policy(cfg, lanes, np.array(targets)), record)
-    errors = lanes.group_errors()
+    lane_models = list(models) * len(trials)
+    peak, tail_sums, errors = _grasp_lanes(cfg, plants, lane_models, lane_objs, targets, n, tail_from)
     outcomes = []
     for k, (name, setpoint, trial) in enumerate(trials):
         exc = errors.get(k)
@@ -1040,10 +996,10 @@ def probe_hardness(cfg: Config, stiffness: float | None, seed: int, models) -> H
     plant_obj = _build_plant(cfg, 0, derive_seed(seed, "hardness", stiffness or "free"))
     model, margin = models[0], cfg.supervisor.extrapolation_margin
     n = int(round(hc.duration_s / dt))
-    duties, duty = array("d"), 0.0
-    for _ in range(n):
+    duties, duty = array("d", (0.0,)) * n, 0.0  # allocated whole, so a span too long fails at once
+    for i in range(n):
         duty = min(hc.max_duty, duty + hc.ramp_rate * dt)
-        duties.append(duty)
+        duties[i] = duty
     plant_obj.step(0.0, dt)  # in free space before the first tick; raises for a bad dt
     angle0, contact0 = plant_obj.angle, plant_obj.contact_force
     pressures, angles, contact = _open_loop(plant_obj, duties, dt, obj)

@@ -5,7 +5,7 @@ package's layered API: ``FingerPlant.step``, ``sense`` (``FingerPlant.sense``
 of the plant's own state), ``contact_force`` and a policy closure, which
 can drive a real ``Supervisor`` and ``PiController``.  It is slow and plain
 on purpose.  The production kernels (``_open_loop``, ``_closed_loop`` and
-``simulate_lanes``) hold the state themselves and repeat its arithmetic in a
+``_grasp_lanes``) hold the state themselves and repeat its arithmetic in a
 faster form, and the tests hold them to its bits, comparing with ``hexed``
 and counting sensor reads with ``counted_senses``.
 ``residual_sum_of_squares`` is the per-sample formula that calibration's

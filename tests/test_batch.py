@@ -1,6 +1,6 @@
 """The grasp and estimation sweeps against the reference tick loop.
 
-``harness.simulate_lanes`` runs the grasp sweep as lockstep batches of
+``harness._grasp_lanes`` runs the grasp sweep as lockstep batches of
 lanes; ``harness.run_estimation_accuracy`` steps each position's press once
 and reads every cell's sensors over it.  The oracles below are the
 trial-by-trial bodies those sweeps had on the reference tick loop,
@@ -29,7 +29,6 @@ import contextlib
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -501,13 +500,13 @@ def test_grasp_lanes_of_one_plant_seed_share_one_stream(monkeypatch):
     cfg = build(SHARED)
     models = fitted_models(cfg, None, False)
     batches = []
-    real = harness.simulate_lanes
+    real = harness._grasp_lanes
 
-    def spy(cfg, lanes, *args):
-        batches.append(lanes.plants)
-        return real(cfg, lanes, *args)
+    def spy(cfg, plants, *args):
+        batches.append(plants)
+        return real(cfg, plants, *args)
 
-    monkeypatch.setattr(harness, "simulate_lanes", spy)
+    monkeypatch.setattr(harness, "_grasp_lanes", spy)
     trials = grasp_trials(cfg)
     assert assert_grasps_match(cfg, models)[1] is None  # the outcomes are the unshared oracle's
     (plants,) = batches
@@ -542,20 +541,3 @@ def test_a_shared_stream_read_out_of_order_raises():
         assert reading(behind) == reading(alone)
     with pytest.raises(RuntimeError, match="out of order"):
         behind.sense(10.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Lane state: one array per quantity
-
-LANE_STATE = ("pressure", "angle", "contact_force", "force_meas", "angle_meas", "duty", "integral")
-
-
-@pytest.mark.parametrize("name", LANE_STATE)
-def test_lane_state_arrays_do_not_alias(name):
-    cfg = build(NOISELESS)
-    plants = [harness._build_plant(cfg, f, 9) for f in range(3)]
-    model = PolynomialModel(2, tuple(QUADRATIC), 0.0, 120.0)
-    lanes = harness.Lanes(cfg, plants, [model] * 3, [ObjectModel(10.0, 0.1)] * 3, np.arange(3))
-    getattr(lanes, name)[1] += 5.0  # in place, as np.add(..., out=) or np.copyto would write
-    assert getattr(lanes, name).tolist() == [0.0, 5.0, 0.0]
-    assert all(not getattr(lanes, other).any() for other in LANE_STATE if other != name)

@@ -222,10 +222,19 @@ def test_validate_rejects_more_ticks_than_sys_maxsize(tmp_path, capsys):
 # ~1e15 ticks each, 8 PB as float64: far past any address space, so the
 # allocation fails at once (a smaller span could be granted by an
 # overcommitting kernel and then fill memory)
-@pytest.mark.parametrize("extra", [{"switching.duration_s": 1.7e13}, {"calibration.hold_s": 1.7e13}])
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("switch", {"switching.duration_s": 1.7e13}),
+        ("switch", {"calibration.hold_s": 1.7e13}),
+        ("hardness", {"hardness.duration_s": 1.7e13}),
+        ("step", {"step.segment_s": 8.5e12}),
+    ],
+)
 def test_run_out_of_memory_exit_1(tmp_path, capsys, extra):
-    path = write_config(tmp_path, extra)
-    rc = main(["run", "switch", "--config", str(path), "--out", str(tmp_path / "o")])
+    experiment, overrides = extra
+    path = write_config(tmp_path, overrides)
+    rc = main(["run", experiment, "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1

@@ -18,7 +18,6 @@ at ``angle_max``, and models whose narrow calibrated range the ramp leaves.
 """
 
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -109,9 +108,7 @@ def test_open_loop_refuses_the_plant_s_bad_dt(dt):
     kernels = (
         lambda p: p.step(50.0, dt),
         lambda p: harness._open_loop(p, [50.0], dt),
-        lambda p: harness.simulate_lanes(
-            cfg, harness.Lanes(cfg, [p], [model], [obj], np.arange(1)), 1, lambda i, c: c, lambda i: None
-        ),
+        lambda p: harness._grasp_lanes(cfg, [p], [model], [obj], [1.0], 1, 0),
         lambda p: harness._closed_loop(cfg, p, model, obj, [1.0], 50.0, force_mode=True),
     )
     errors = []
