@@ -25,7 +25,10 @@ Three tick kernels step the experiments, and give the same bits:
 - ``_grasp_lanes`` steps the grasp sweep (540 lanes of 600 ticks), whose
   duty feeds back on each finger's estimate, in lockstep, with each state
   quantity one float64 or bool array over the lanes, in batches of at most
-  ``BATCH_LANES``.
+  ``BATCH_LANES``.  Each block of its tick runs only while a live lane
+  needs it: the approach until every lane has switched to force control
+  (by tick 100 of 600 at the default config), the PI from the first
+  switch, and the failed-lane masks from the first failure.
 
 The estimation sweep's press follows the scale's true force, never the
 sensors, so ``_press`` steps each position's mechanics once by
@@ -50,8 +53,8 @@ at a time (``FingerPlant.step``, its ``sense`` of the plant's own state,
 ``contact_force``, and a policy closure that can drive a real
 ``Supervisor`` and ``PiController``).  Each path wins over it where it is
 used.  On a 2-CPU VM (Python 3.11, numpy 2.4; in-process medians, the range
-of two sessions) the default grasp sweep took 0.30-0.45 s batched against
-1.9-2.3 s on the reference, the estimation sweep 0.09-0.10 s against 0.35-0.46 s, the step
+of two sessions) the default grasp sweep took 0.26-0.29 s batched against
+1.9-2.7 s on the reference, the estimation sweep 0.09-0.10 s against 0.35-0.46 s, the step
 response 0.09-0.12 s on ``_closed_loop`` against 0.28-0.34 s, and the
 switching experiment 0.032 s against 0.074-0.091 s.
 ``tests/test_open_loop*.py``, ``tests/test_closed_loop.py``
@@ -330,9 +333,10 @@ def _senses(plant_obj: FingerPlant, angles: np.ndarray, contact: np.ndarray):
 # every lane keeps its FingerPlant (sensor filter, and a noise stream of
 # about 7 kB unless it shares one) until its batch ends, so the grasp sweep
 # runs in batches of at most this many and memory stays flat as it grows.  The
-# default grasp sweep (540 lanes) runs as one batch: in-process it took 0.57,
-# 0.44, 0.45 and 0.32 s in batches of 90, 180, 270 and 540 lanes (2-CPU VM,
-# Python 3.11, numpy 2.4; medians of 5 alternating rounds, twice).
+# default grasp sweep (540 lanes) runs as one batch: in-process it took 0.47,
+# 0.31-0.34, 0.31-0.36 and 0.26-0.29 s in batches of 90, 180, 270 and 540
+# lanes (2-CPU VM, Python 3.11, numpy 2.4; medians of 5 alternating rounds,
+# twice).
 BATCH_LANES = 540
 
 
@@ -366,7 +370,8 @@ def _grasp_lanes(
     ``FingerPlant.step`` -> record for every alive lane at once, after one
     free-space step at duty 0.  Returns (peak, tail_sums, errors by trial):
     each lane's peak true contact force and its sum over the ticks from
-    ``tail_from``, and each failed trial's error.
+    ``tail_from``, and each failed trial's error.  A failed trial's lanes
+    step on unread, so their peaks and sums mean nothing.
 
     Built from the FingerPlants ``_build_plant`` returns, which share
     ``cfg.plant``'s parameters and bring their own internal model, noise
@@ -396,71 +401,84 @@ def _grasp_lanes(
     contacts = [contact_split(p.finger_stiffness, o) for o in objs]
     split = tuple(np.array(column, dtype=float) for column in zip(*contacts))
     targets = np.array(targets, dtype=float)
+    finite_targets = np.isfinite(targets)
+    all_targets_finite = finite_targets.all()
     # one array each, so an in-place write to one leaves the others alone
     pressure, angle_meas, force_meas, duty, integral, peak, tail_sums = (np.zeros(n) for _ in range(7))
     force_mode = np.zeros(n, dtype=bool)
-    alive = np.ones(n, dtype=bool)
+    alive = np.ones(n, dtype=bool)  # all True while ``errors`` is empty
     trial = np.arange(n) // 3
-    errors = {}  # lane -> its first error
+    errors = {}  # lane -> its error
+    # Each block runs only while a live lane needs it: the approach while one
+    # approaches, the PI once one is in force control, and the ``alive`` masks
+    # once one has failed.  A failed lane's state is never read again, so it
+    # steps on with the rest, and the PI steps every lane once none approaches.
+    approaching, controlling = True, False
     with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
         # FingerPlant.step in free space at duty 0, before the first tick
         pressure = pressure + rate * (k_duty * duty - pressure)
         pressure = np.where(pressure < 0.0, 0.0, pressure)
         angle, contact_true = _bend(pressure, bend_gain, angle_max, None)
         for i in range(n_ticks):
-            if not alive.any():
+            if errors and not alive.any():
                 break
             # FingerPlant.sense of every alive lane; the others keep their last readings
-            live = np.flatnonzero(alive)
+            live = np.flatnonzero(alive) if errors else slice(None)
             noiseless = _horner(true_columns, angle) + contact_true
-            lane_plants = plants if len(live) == n else [plants[k] for k in live]
+            lane_plants = [plants[k] for k in live] if errors else plants
             angles, forces = angle[live].tolist(), noiseless[live].tolist()
             angle_meas[live], force_meas[live] = zip(*map(FingerPlant.sense, lane_plants, angles, forces))
             # contact_force(...).contact; a lane out of its model's range fails
-            out = alive & ((angle_meas < angle_lo) | (angle_meas > angle_hi))
+            out = (angle_meas < angle_lo) | (angle_meas > angle_hi)
             if out.any():
-                for k in np.flatnonzero(out):
+                for k in np.flatnonzero(out & alive):
                     errors[k] = _raised(internal_force, models[k], float(angle_meas[k]), margin)
                 alive &= ~out
             internal = _horner(fit_columns, angle_meas)
             contact = force_meas - np.where(internal > 0.0, internal, 0.0)
+            finite = np.isfinite(contact)
+            all_finite = finite.all()
             # Supervisor.step: approach until the detector fires
-            approach = alive & ~force_mode
-            bad = approach & ~np.isfinite(contact)
-            if bad.any():
-                for k in np.flatnonzero(bad):
-                    errors[k] = _raised(detector.update, float(contact[k]))
-                alive &= ~bad
-                approach &= ~bad
-            fired = approach & (contact >= detector.threshold)
-            force_mode |= fired
-            integral = np.where(fired, 0.0, integral)  # ctrl.reset() at the switch
-            ramp = duty + approach_step
-            ramp = np.where(ramp > out_lo, ramp, out_lo)
-            duty = np.where(approach & ~fired, np.where(ramp < out_hi, ramp, out_hi), duty)
-            # PiController.step in force control
-            force = alive & force_mode
-            bad = force & ~(np.isfinite(targets) & np.isfinite(contact) & np.isfinite(duty))
-            if bad.any():
-                for k in np.flatnonzero(bad):
-                    errors[k] = _raised(ctrl.step, float(targets[k]), float(contact[k]), float(duty[k]))
-                alive &= ~bad
-                force &= ~bad
-            error = targets - contact
-            candidate = integral + error * dt
-            raw = duty + (kp * error + ki * candidate)
-            clamped = np.where(raw > out_lo, raw, out_lo)
-            clamped = np.where(clamped < out_hi, clamped, out_hi)
-            winding_up = ((raw > out_hi) & (error > 0.0)) | ((raw < out_lo) & (error < 0.0))
-            integral = np.where(force & ~winding_up, candidate, integral)
-            duty = np.where(force, clamped, duty)
-            # FingerPlant.step of every alive lane
-            stepped = pressure + rate * (k_duty * duty - pressure)
-            stepped = np.where(stepped < 0.0, 0.0, stepped)
-            bent, pressed = _bend(stepped, bend_gain, angle_max, split)
-            pressure = np.where(alive, stepped, pressure)
-            angle = np.where(alive, bent, angle)
-            contact_true = np.where(alive, pressed, contact_true)
+            if approaching:
+                approach = alive & ~force_mode if errors else ~force_mode
+                if not all_finite:
+                    bad = approach & ~finite
+                    for k in np.flatnonzero(bad):
+                        errors[k] = _raised(detector.update, float(contact[k]))
+                    alive &= ~bad
+                    approach &= ~bad
+                fired = approach & (contact >= detector.threshold)
+                force_mode |= fired  # ctrl.reset() has nothing to do: the integral is still 0.0
+                ramping = approach & ~fired
+                ramp = duty + approach_step
+                ramp = np.where(ramp > out_lo, ramp, out_lo)
+                duty = np.where(ramping, np.where(ramp < out_hi, ramp, out_hi), duty)
+                controlling = controlling or fired.any()
+                approaching = ramping.any()
+            # PiController.step in force control.  The duty needs no finiteness check:
+            # every tick clamps it into the finite [output_min, output_max].
+            if controlling:
+                if not (all_finite and all_targets_finite):
+                    bad = alive & force_mode & ~(finite & finite_targets)
+                    for k in np.flatnonzero(bad):
+                        errors[k] = _raised(ctrl.step, float(targets[k]), float(contact[k]), float(duty[k]))
+                    alive &= ~bad
+                error = targets - contact
+                candidate = integral + error * dt
+                raw = duty + (kp * error + ki * candidate)
+                clamped = np.where(raw > out_lo, raw, out_lo)
+                clamped = np.where(clamped < out_hi, clamped, out_hi)
+                winding_up = ((raw > out_hi) & (error > 0.0)) | ((raw < out_lo) & (error < 0.0))
+                if approaching:
+                    integral = np.where(force_mode & ~winding_up, candidate, integral)
+                    duty = np.where(force_mode, clamped, duty)
+                else:
+                    integral = np.where(winding_up, integral, candidate)
+                    duty = clamped
+            # FingerPlant.step of every lane; a failed lane's state is never read again
+            pressure = pressure + rate * (k_duty * duty - pressure)
+            pressure = np.where(pressure < 0.0, 0.0, pressure)
+            angle, contact_true = _bend(pressure, bend_gain, angle_max, split)
             np.copyto(peak, contact_true, where=contact_true > peak)
             if i >= tail_from:
                 np.add(tail_sums, contact_true, out=tail_sums)
@@ -865,16 +883,20 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
     Finger targets are (F/2, F/2, F) so the paired fingers balance the
     opposable one exactly.  Failure thresholds draw from a trial RNG keyed by
     (master, object, trial) -- deliberately not by set-point, so sweeps share
-    draws across force levels (common random numbers).  So do the plants'
-    noise seeds, and the lanes of one seed, which step in lockstep, read one
-    ``GaussStream``.  A failing trial raises, the first in the order given,
-    as a trial-by-trial loop would.
+    draws across force levels (common random numbers).  So do the shake
+    test's seed and the plants' noise seeds, so a batch derives each seed
+    once per (object, trial) or (object, trial, finger), trials being
+    labelled by int index, and the lanes of one plant seed, which step in
+    lockstep, read one ``GaussStream``.  A failing trial raises, the first
+    in the order given, as a trial-by-trial loop would.
     """
     if not trials:
         return []
     objs = {name: oc.build() for name, oc in cfg.grasp.objects.items()}
-    thresholds, targets = [], []
-    for name, setpoint, trial in trials:
+    draws = {}  # (object, trial) -> (deform threshold, break threshold, shake seed)
+    for name, _, trial in trials:
+        if (name, trial) in draws:
+            continue
         obj = objs[name]
         trial_rng = random.Random(derive_seed(master, "grasp", name, trial, "thresholds"))
         deform_thr = (
@@ -887,12 +909,14 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
             if math.isfinite(obj.break_threshold)
             else math.inf
         )
-        thresholds.append((deform_thr, break_thr))
-        targets += [setpoint / 2.0, setpoint / 2.0, setpoint]
+        draws[name, trial] = deform_thr, break_thr, derive_seed(master, "grasp", name, trial, "shake")
+    targets = [t for _, setpoint, _ in trials for t in (setpoint / 2.0, setpoint / 2.0, setpoint)]
     fingers = [(name, trial, f) for name, _, trial in trials for f in range(3)]
-    plants, streams = [], {}
+    plants, seeds, streams = [], {}, {}
     for name, trial, f in fingers:
-        seed = derive_seed(master, "grasp", name, trial, "plant", f)
+        seed = seeds.get((name, trial, f))
+        if seed is None:
+            seed = seeds[name, trial, f] = derive_seed(master, "grasp", name, trial, "plant", f)
         plant_obj = _build_plant(cfg, f, seed)
         plant_obj.noise = streams.setdefault(seed, plant_obj.noise)
         plants.append(plant_obj)
@@ -912,11 +936,10 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
         own = slice(3 * k, 3 * k + 3)
         tail, peaks = tail_sums[own].tolist(), peak[own].tolist()
         grip = sum(tail[f] / (n - tail_from) for f in range(3))
-        deform_thr, break_thr = thresholds[k]
+        deform_thr, break_thr, shake_seed = draws[name, trial]
         deformed = any(pk > deform_thr for pk in peaks)
         broken = any(pk > break_thr for pk in peaks)
-        shake_rng = random.Random(derive_seed(master, "grasp", name, trial, "shake"))
-        held = shake_test(grip, objs[name], shake_rng)
+        held = shake_test(grip, objs[name], random.Random(shake_seed))
         outcomes.append(GraspOutcome(dropped=not held, deformed=deformed, broken=broken))
     return outcomes
 

@@ -12,15 +12,18 @@ and message), every float compared as ``float.hex``.
 The strategies reach noise sigma 0, object stiffness 0, ``output_min > 0``,
 fingers whose models have different degrees, models without a calibrated
 range, grasps that bend out of range, and estimation cells that time out,
-flag "unreachable" or bend out of range.  Pinned configs check the grasp
-sweep split into smaller batches, the default grasp sweep in one batch of
-540 lanes against two of 270, empty sweeps, and presses that cells share: a
-repeated position, an integral position beside its float, and windows the
-timeout cuts short.  Sizes stay small (a cheap calibration, at most 8 grasp
+flag "unreachable" or bend out of range.  Pinned grasps fail after every
+lane has switched to force control, and in two lanes of one trial at two
+stages of one tick, where the lower lane's error wins.  Pinned configs
+check the grasp sweep split into smaller batches, the default grasp sweep
+in one batch of 540 lanes against two of 270, empty sweeps, and presses
+that cells share: a repeated position, an integral position beside its
+float, and windows the timeout cuts short.  Sizes stay small (a cheap calibration, at most 8 grasp
 trials of at most 2 s) so the file runs in seconds.
 
 Both sweeps keep the reference's sensing contract: one
-``FingerPlant.sense`` call per live lane-tick, and grasp lanes that share
+``FingerPlant.sense`` call per live lane-tick (a failing grasp trial's
+lanes live through the tick it fails in), and grasp lanes that share
 a plant seed (one object, trial and finger at other set-points) read one
 noise stream, which refuses a read out of order.
 """
@@ -36,6 +39,7 @@ from hypothesis import strategies as st
 from softgrip import harness
 from softgrip.calibration import PolynomialModel
 from softgrip.config import config_from_dict, default_config, validate
+from softgrip.control import Mode, Supervisor
 from softgrip.errors import NonFiniteError, OutOfRangeError, SoftgripError
 from softgrip.harness import GraspOutcome, EstimationRow
 from softgrip.plant import NOISE_BLOCK, ObjectModel
@@ -160,6 +164,24 @@ def recorded_grips():
         yield grips
     finally:
         harness.shake_test = real
+
+
+@contextlib.contextmanager
+def recorded_modes():
+    """Each ``Supervisor.step``'s mode after the step, in call order."""
+    modes = []
+    real = Supervisor.step
+
+    def spy(self, *args):
+        duty = real(self, *args)
+        modes.append(self.mode)
+        return duty
+
+    Supervisor.step = spy
+    try:
+        yield modes
+    finally:
+        Supervisor.step = real
 
 
 def run(fn, *args) -> tuple:
@@ -304,6 +326,43 @@ OUT_OF_RANGE = {
     },
     "estimation": {"n_seeds": 1, "positions": [20.0, 70.0], "timeout_s": 2.0, "ramp_rate": 60.0},
 }
+# one soft grasp that bends out of range after its three fingers switched to force control
+SWITCHED_THEN_OUT = {
+    **OUT_OF_RANGE,
+    "grasp": {
+        **OUT_OF_RANGE["grasp"],
+        "setpoints": [1.0],
+        "n_trials": 1,
+        "objects": {"plastic_cup": {"stiffness": 0.005}},
+    },
+}
+# one grasp whose force readings overflow (noise sigma 1e308, set after a noiseless
+# calibration) while the angle reads true and the duty sits at output_min
+TWO_STAGES = {
+    "plant": {"noise_sigma": 0.0, "angle_noise_sigma": 0.0},
+    "controller": {"output_min": 20.0},
+    "supervisor": {"extrapolation_margin": 0.0},
+    "calibration": {"cycles": 1, "levels": 7, "hold_s": 0.1, "rest_s": 0.1},
+    "grasp": {
+        "setpoints": [1.0],
+        "n_trials": 1,
+        "duration_s": 1.0,
+        "objects": {"paper_cup": {"position_angle": 60.0}},
+    },
+}
+
+
+def two_stage_failure(seed: int, angle_max: float) -> tuple:
+    """``TWO_STAGES`` at ``seed``, with rangeless models but finger 1's, which
+    reads [0, ``angle_max``]: finger 1 bends past it at the tick in which
+    finger 0's reading overflows in force control."""
+    cfg = build({**TWO_STAGES, "seed": seed})
+    models = fitted_models(cfg, None, True)
+    models[1] = PolynomialModel(models[1].degree, models[1].weights, 0.0, angle_max)
+    cfg.plant.noise_sigma = 1e308
+    return cfg, models
+
+
 # noise-free quadratic plants, mixed model degrees, stiffness 0, output_min > 0
 NOISELESS = {
     "seed": 3,
@@ -348,6 +407,7 @@ SETTINGS = settings(max_examples=25, deadline=None, suppress_health_check=[Healt
 @given(spec=config_specs(), degrees=degree_choices, rangeless=st.booleans())
 @example(spec=OUT_OF_RANGE, degrees=None, rangeless=False)
 @example(spec=NOISELESS, degrees=[2, 3, 4], rangeless=False)
+@example(spec=SWITCHED_THEN_OUT, degrees=None, rangeless=False)
 def test_grasp_batch_matches_scalar_trials(spec, degrees, rangeless):
     cfg = build(spec)
     assert_grasps_match(cfg, fitted_models(cfg, degrees, rangeless))
@@ -365,7 +425,7 @@ def test_estimation_batch_matches_scalar_cells(spec, degrees, rangeless):
     assert_estimates_match(cfg, fitted_models(cfg, degrees, rangeless))
 
 
-def test_examples_reach_the_edge_cases():
+def test_examples_reach_the_edge_cases(monkeypatch):
     # the pinned examples above hit each case whatever Hypothesis draws
     cfg = build(OUT_OF_RANGE)
     _, error, grips = assert_grasps_match(cfg, fitted_models(cfg, None, False))
@@ -386,6 +446,35 @@ def test_examples_reach_the_edge_cases():
     cfg.estimation.timeout_s = 0.5
     rows, _, _ = assert_estimates_match(cfg, models)
     assert [r[-1] for r in rows] == ["timeout", "timeout"]
+
+    # a one-trial batch fails when no lane approaches any more: the oracle's
+    # three fingers had all switched by the last tick they completed
+    cfg = build(SWITCHED_THEN_OUT)
+    with recorded_modes() as modes:
+        _, error, _ = assert_grasps_match(cfg, fitted_models(cfg, None, False))
+    assert error[0] is OutOfRangeError
+    done = len(modes) // 3 * 3  # the batch steps in ticks of three lanes
+    assert done > 0 and modes[done - 3 : done] == [Mode.FORCE_CONTROL] * 3
+
+    # lanes 0 and 1 fail in one tick: lane 1 on the range as it senses, then lane 0
+    # on its overflowed reading in the PI; the lower lane's error wins, as in the
+    # scalar loop.  At seed 58 lane 1 still approaches, at seed 4 all are in force control.
+    raised = []
+    real = harness._raised
+
+    def spy(check, *args):
+        raised.append(check.__qualname__)
+        return real(check, *args)
+
+    monkeypatch.setattr(harness, "_raised", spy)
+    for seed, angle_max, lane_1_mode in ((58, 19.5, Mode.APPROACH), (4, 23.93, Mode.FORCE_CONTROL)):
+        cfg, models = two_stage_failure(seed, angle_max)
+        raised.clear()
+        with recorded_modes() as modes:
+            _, error, _ = assert_grasps_match(cfg, models)
+        assert error == (NonFiniteError, "controller inputs must be finite")
+        assert raised == ["internal_force", "PiController.step"]
+        assert modes[len(modes) // 3 * 3 - 2] is lane_1_mode  # lane 1 at the last tick completed
 
 
 def test_press_examples_reach_their_cases():
@@ -494,6 +583,25 @@ def test_one_sense_call_per_live_lane_tick():
         assert (rows, error) == run(oracle_estimation_rows, cfg, cfg.seed, models)[:2]
         assert batched == calls[0] > 0
     assert len({r[-1] for r in rows}) > 1  # the cells end in different ways, at different ticks
+
+    # in a failing batch a trial's lanes all sense through the tick it fails in,
+    # where the scalar loop stops at the failing lane; the other trials run on
+    cfg = build(OUT_OF_RANGE)
+    models = fitted_models(cfg, None, False)
+    trials = grasp_trials(cfg)
+    with counted_senses() as calls:
+        error = run(harness._grasp_outcomes, cfg, cfg.seed, models, trials)[1]
+        batched, calls[0] = calls[0], 0
+        failed = 0
+        for t in trials:
+            before = calls[0]
+            try:
+                oracle_grasp_trial(cfg, *t, cfg.seed, models)
+            except OutOfRangeError:
+                failed += 1
+            calls[0] = before + -(-(calls[0] - before) // 3) * 3
+    assert error[0] is OutOfRangeError and failed > 1
+    assert batched == calls[0] < 3 * len(trials) * int(round(cfg.grasp.duration_s / cfg.controller.period))
 
 
 def test_grasp_lanes_of_one_plant_seed_share_one_stream(monkeypatch):
