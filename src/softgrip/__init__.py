@@ -22,7 +22,6 @@ from .calibration import (
     Sample,
     bic_score,
     fit_polynomial,
-    load_samples,
     r_squared,
     select_model,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "contact_force",
     "fit_polynomial",
     "internal_force",
-    "load_samples",
     "r_squared",
     "select_model",
     "shake_test",

@@ -10,7 +10,6 @@ readings to expose the true contact force.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -19,12 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    RankDeficientError,
-    SampleParseError,
-    ZeroVarianceError,
-)
+from .errors import InsufficientDataError, RankDeficientError, ZeroVarianceError
 
 # Variance floor keeping the BIC finite on interpolating (zero-residual) fits.
 SIGMA2_FLOOR = 1e-12
@@ -100,19 +94,6 @@ class CalibrationReport:
         rec = next(r for r in self.records if r.degree == self.selected_degree)
         return PolynomialModel(rec.degree, rec.weights, self.angle_min, self.angle_max)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CalibrationReport":
-        """Inverse of ``save_report``'s JSON: the fields by name, weights back to tuples."""
-        records = tuple(
-            DegreeRecord(**{**r, "weights": r["weights"] and tuple(r["weights"])})
-            for r in data["records"]
-        )
-        return cls(**{**data, "records": records})
-
-
-def _design_matrix(angles: np.ndarray, degree: int) -> np.ndarray:
-    return np.vander(angles, degree + 1, increasing=True)
-
 
 def fit_polynomial(samples: list[Sample], degree: int) -> PolynomialModel:
     """Least-squares polynomial fit of force against angle.
@@ -135,7 +116,7 @@ def fit_polynomial(samples: list[Sample], degree: int) -> PolynomialModel:
     # the powers of huge angles overflow to inf, and their scaled columns to
     # NaN, which fails the rank test as well
     with np.errstate(over="ignore", invalid="ignore"):
-        X = _design_matrix(x, degree)
+        X = np.vander(x, degree + 1, increasing=True)
         norms = np.linalg.norm(X, axis=0)
         norms[norms == 0.0] = 1.0
         Xs = X / norms
@@ -293,37 +274,8 @@ def save_samples(path: str | Path, samples: list[Sample]) -> None:
         fh.writelines(map(("%r,%r" + CSV_LINE_END).__mod__, ((s.angle, s.force) for s in samples)))
 
 
-def load_samples(path: str | Path) -> list[Sample]:
-    """Read `angle_deg,force_n` CSV; malformed rows raise with the line number."""
-    samples = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and row == list(CSV_HEADER):
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise SampleParseError(f"expected 2 fields, got {len(row)}", lineno)
-            try:
-                angle, force = float(row[0]), float(row[1])
-            except ValueError:
-                raise SampleParseError(f"non-numeric field in {row!r}", lineno) from None
-            if not (math.isfinite(angle) and math.isfinite(force)):
-                raise SampleParseError("non-finite value", lineno)
-            if force < 0.0:
-                raise SampleParseError("force must be >= 0 (FSR cannot read negative)", lineno)
-            samples.append(Sample(angle, force))
-    return samples
-
-
 def save_report(path: str | Path, report: CalibrationReport) -> None:
     """The report as JSON keyed by its dataclass fields, nested records included."""
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=vars)
         fh.write("\n")
-
-
-def load_report(path: str | Path) -> CalibrationReport:
-    with open(path, "r") as fh:
-        return CalibrationReport.from_dict(json.load(fh))

@@ -25,13 +25,5 @@ class NonFiniteError(SoftgripError):
     """NaN or infinity fed to a controller."""
 
 
-class SampleParseError(SoftgripError):
-    """Malformed sample CSV row; carries the offending line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
 class ConfigError(SoftgripError):
     """Invalid or unparsable configuration; message lists per-field diagnostics."""

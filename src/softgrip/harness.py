@@ -730,7 +730,8 @@ def _press(cfg: Config, position: float) -> tuple:
     by ``FingerPlant.step``: (angles, contacts, count, true_sum, flag).  The
     arrays are the true state each tick senses, up to the tick that ends the
     press; its last ``count`` ticks are the window, over which the true force
-    sums to ``true_sum``; ``flag`` says why a press with no window ended."""
+    sums to ``true_sum``; ``flag`` says why a press ended before its window
+    filled, and is None once it filled."""
     est = cfg.estimation
     dt = cfg.controller.period
     obj = ObjectModel(position_angle=position, stiffness=est.scale_stiffness)
@@ -755,6 +756,7 @@ def _press(cfg: Config, position: float) -> tuple:
             true_sum += plant_obj.contact_force
             count += 1
             if count == window_ticks:
+                flag = None
                 break
         plant_obj.step(duty, dt, obj)
     return np.array(angles), np.array(contacts), count, true_sum, flag
@@ -776,7 +778,7 @@ def _estimation_row(cfg: Config, model: PolynomialModel, seed: int, position: fl
             internal = model.predict(angle_meas)
             est_sum += force_meas - (internal if internal > 0.0 else 0.0)
     target = cfg.estimation.target
-    if count == 0:
+    if flag is not None:
         return EstimationRow(seed, position, target, None, None, None, flagged=flag)
     estimated, true_force = est_sum / count, true_sum / count
     return EstimationRow(seed, position, target, estimated, true_force, abs(estimated - true_force))
@@ -955,8 +957,10 @@ def run_grasp_sweep(cfg: Config, seed: int | None = None, jobs: int = 1, models=
     """Outcome percentages per (object, set-point) over n_trials grasps each.
 
     The trials run in contiguous batches of at most ``BATCH_LANES`` lanes;
-    with ``jobs`` > 1 there are at least ``jobs`` batches, which a process
-    pool runs.  Either way the outcomes concatenate in task order.
+    with ``jobs`` > 1 each batch holds at most 1/``jobs`` of the trials
+    (rounded up), and two or more batches run on a process pool of at most
+    ``jobs`` workers, never more than one per batch.  Either way the
+    outcomes concatenate in task order.
     """
     master, models = _master_and_models(cfg, seed, models)
     n = cfg.grasp.n_trials
@@ -965,10 +969,11 @@ def run_grasp_sweep(cfg: Config, seed: int | None = None, jobs: int = 1, models=
     run = partial(_grasp_outcomes, cfg, master, models)
     size = max(1, min(BATCH_LANES // 3, -(-len(trials) // jobs)))
     chunks = [trials[k : k + size] for k in range(0, len(trials), size)]
-    if jobs > 1:
+    if jobs > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forking pool starts every worker at its first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             parts = list(pool.map(run, chunks))
     else:
         parts = map(run, chunks)

@@ -130,7 +130,7 @@ def oracle_estimation_cell(cfg, model, seed, position) -> EstimationRow:
 
     lane = Lane(plant_obj, model, obj, duty, press_settle_measure)
     simulate(cfg, [lane], int(round(est.timeout_s / dt)))
-    if count == 0:
+    if count < window_ticks:
         return EstimationRow(seed, position, est.target, None, None, None, flagged=flagged or "timeout")
     estimated = est_acc / count
     true_force = true_acc / count
@@ -441,8 +441,8 @@ def test_examples_reach_the_edge_cases(monkeypatch):
     outcomes, error, grips = assert_grasps_match(cfg, models)
     assert error is None and len(grips) == len(outcomes) == 2
     rows, error, _ = assert_estimates_match(cfg, models)
-    assert error is None
-    assert [r[-1] for r in rows] == [None, "unreachable at max duty"]
+    assert error is None  # the timeout ends the 20-degree press 10 ticks into its 30-tick window
+    assert [r[-1] for r in rows] == ["timeout", "unreachable at max duty"]
     cfg.estimation.timeout_s = 0.5
     rows, _, _ = assert_estimates_match(cfg, models)
     assert [r[-1] for r in rows] == ["timeout", "timeout"]
@@ -487,10 +487,10 @@ def test_press_examples_reach_their_cases():
     rows, error, _ = assert_estimates_match(cfg, fitted_models(cfg, None, False))
     assert error is None and [r[1] for r in rows[:2]] == [15, (15.0).hex()]
     assert rows[0][4] == rows[1][4] and rows[0][3] != rows[1][3]  # one truth, two estimates
-    # the timeout cuts every window short, after its first tick
+    # the timeout cuts every window short, after its first tick: no estimate
     cfg = build(SHORT_WINDOW)
     rows, error, _ = assert_estimates_match(cfg, fitted_models(cfg, None, False))
-    assert error is None and all(r[-1] is None for r in rows)
+    assert error is None and all(r[3:] == [None, None, None, "timeout"] for r in rows)
     window_ticks = max(1, round(cfg.estimation.window_s / cfg.controller.period))
     for position in cfg.estimation.positions:
         count = harness._press(cfg, position)[2]

@@ -4,13 +4,14 @@ Covers:
 - trace shape/CSV round trip and metrics recomputation from the exported CSV
 - calibration experiment: degree-4 selection, near-perfect R^2 with noise off,
   coefficient confidence tightening with more cycles
-- estimation accuracy: noise-off error bound, unreachable positions flagged
+- estimation accuracy: noise-off error bound, unreachable positions and
+  windows the timeout cuts short flagged
 - step response: zero-gain controller flagged unsettled, kp doubling does not
   slow settling on the default plant
 - switching: single switch, settling from the switch instant
 - grasp sweep: exact percentage granularity, force-balance identity,
-  deterministic tables, parallel == serial, a repeated set-point counted
-  once per row
+  deterministic tables, parallel == serial, a pool of no more workers than
+  batches, a repeated set-point counted once per row
 - hardness: stiff/soft classification, and no classification in free
   space, for points of one force, or without a detected contact
 - the tick kernel: calibration with and without a trace, early exit, and
@@ -24,6 +25,7 @@ Covers:
   and ``hexed`` over a float array
 """
 
+import concurrent.futures
 import copy
 import csv
 import math
@@ -175,6 +177,22 @@ def test_estimation_unreachable_position_flagged(cfg, models):
     assert rows[0].abs_error is None
 
 
+def test_estimation_window_cut_short_by_the_timeout_flagged(cfg, models):
+    short = copy.deepcopy(cfg)
+    short.estimation.positions = [15.0]
+    short.estimation.n_seeds = 1
+    # the timeout ends the press 2 ticks into its 30-tick window
+    short.estimation.timeout_s = 10.5
+    assert harness._press(short, 15.0)[2] == 2
+    rows = run_estimation_accuracy(short, 0, models=models)
+    assert [(r.estimated, r.true_force, r.abs_error, r.flagged) for r in rows] == [
+        (None, None, None, "timeout")
+    ]
+    # half a second more fills the window
+    short.estimation.timeout_s = 11.0
+    assert run_estimation_accuracy(short, 0, models=models)[0].flagged is None
+
+
 def test_step_zero_gain_flagged_unsettled(cfg, models):
     dead = copy.deepcopy(cfg)
     dead.controller.kp = 0.0
@@ -254,6 +272,43 @@ def test_grasp_table_deterministic_and_parallel_equal(cfg, models):
     parallel = run_grasp_sweep(small, 9, jobs=2, models=models)
     assert serial == again
     assert serial == parallel
+
+
+def test_grasp_pool_has_no_more_workers_than_batches(cfg, models, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ``ProcessPoolExecutor``; runs the batches in this process."""
+
+        def __init__(self, max_workers):
+            self.max_workers, self.batches = max_workers, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            self.batches = len(chunks)
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    small = copy.deepcopy(cfg)
+    small.grasp.setpoints = [1.0]
+    small.grasp.n_trials = 2
+    small.grasp.duration_s = 2.0
+    serial = run_grasp_sweep(small, 9, models=models)
+    for jobs in (2, 500):  # 6 trials: batches of 3, then of 1
+        assert run_grasp_sweep(small, 9, jobs=jobs, models=models) == serial
+    assert [(p.max_workers, p.batches) for p in pools] == [(2, 2), (6, 6)]
+    # a sweep of one batch starts no pool
+    small.grasp.objects = {"eggshell": cfg.grasp.objects["eggshell"]}
+    small.grasp.n_trials = 1
+    run_grasp_sweep(small, 9, jobs=500, models=models)
+    assert len(pools) == 2
 
 
 def test_grasp_trial_outcome_fields(cfg, models):
