@@ -20,9 +20,7 @@ from .calibration import (
     CalibrationReport,
     PolynomialModel,
     Sample,
-    bic_score,
     fit_polynomial,
-    r_squared,
     select_model,
 )
 from .control import PiController, Supervisor
@@ -39,11 +37,9 @@ __all__ = [
     "PolynomialModel",
     "Sample",
     "Supervisor",
-    "bic_score",
     "contact_force",
     "fit_polynomial",
     "internal_force",
-    "r_squared",
     "select_model",
     "shake_test",
     "__version__",

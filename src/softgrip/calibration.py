@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientDataError, RankDeficientError, ZeroVarianceError
+from .errors import InsufficientDataError, RankDeficientError
 
 # Variance floor keeping the BIC finite on interpolating (zero-residual) fits.
 SIGMA2_FLOOR = 1e-12
@@ -166,17 +166,18 @@ def _rss(weights: tuple, angles: np.ndarray, forces: np.ndarray) -> float:
     return _sum_of_squares(residual.tolist())
 
 
-def residual_sum_of_squares(model: PolynomialModel, samples: list[Sample]) -> float:
-    x = np.array([s.angle for s in samples], dtype=float)
-    y = np.array([s.force for s in samples], dtype=float)
-    return _rss(model.weights, x, y)
-
-
 def _sigma2(rss: float, n: int) -> float:
     return max(rss / n, SIGMA2_FLOOR)
 
 
 def _bic(rss: float, n: int, degree: int) -> float:
+    """BIC = ln(n)*k - 2*ln(Lhat) with a Gaussian residual likelihood.
+
+    k counts the polynomial coefficients (degree + 1); the noise variance is
+    not counted, a constant offset that cannot change the argmin.  The MLE
+    variance RSS/n is floored at SIGMA2_FLOOR so interpolating fits stay
+    finite.
+    """
     return math.log(n) * (degree + 1) + n * (math.log(2.0 * math.pi * _sigma2(rss, n)) + 1.0)
 
 
@@ -185,40 +186,14 @@ def _total_sum_of_squares(forces: list) -> float:
     return _sum_of_squares([f - mean for f in forces])
 
 
-def _r_squared(rss: float, tss: float) -> float:
-    if tss == 0.0:
-        raise ZeroVarianceError("all force values identical; R^2 undefined")
-    return 1.0 - rss / tss
-
-
-def bic_score(model: PolynomialModel, samples: list[Sample]) -> float:
-    """BIC = ln(n)*k - 2*ln(Lhat) with a Gaussian residual likelihood.
-
-    k counts the polynomial coefficients (degree + 1); the noise variance is
-    not counted, a constant offset that cannot change the argmin.  The MLE
-    variance RSS/n is floored at SIGMA2_FLOOR so interpolating fits stay
-    finite.
-    """
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    return _bic(residual_sum_of_squares(model, samples), len(samples), model.degree)
-
-
-def r_squared(model: PolynomialModel, samples: list[Sample]) -> float:
-    """Coefficient of determination 1 - RSS/TSS."""
-    if len(samples) < 2:
-        raise ValueError("need at least 2 samples")
-    forces = [s.force for s in samples]
-    return _r_squared(residual_sum_of_squares(model, samples), _total_sum_of_squares(forces))
-
-
 def select_model(samples: list[Sample], max_degree: int = DEFAULT_MAX_DEGREE) -> CalibrationReport:
     """Fit degrees 0..max_degree and select the BIC argmin (ties -> lower degree).
 
     Degrees whose fit fails are recorded with the error and skipped; only if
     every degree fails is the last error re-raised.  Each degree's scores take
-    one residual pass over the samples' arrays, built once, through the
-    formulas of ``bic_score`` and ``r_squared``.
+    one residual pass over the samples' arrays, built once: its RSS, the
+    floored variance, the BIC (``_bic``) and R^2 = 1 - RSS/TSS, which is None
+    when every force is the same (TSS 0.0).
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -245,10 +220,7 @@ def select_model(samples: list[Sample], max_degree: int = DEFAULT_MAX_DEGREE) ->
             continue
         rss = _rss(model.weights, x, y)
         bic = _bic(rss, n, degree)
-        try:
-            r2 = _r_squared(rss, tss)
-        except ZeroVarianceError:
-            r2 = None
+        r2 = 1.0 - rss / tss if tss != 0.0 else None
         records.append(DegreeRecord(degree, model.weights, rss, _sigma2(rss, n), bic, r2))
         if best is None or bic < best[0]:
             best = (bic, degree)

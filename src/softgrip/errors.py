@@ -13,10 +13,6 @@ class RankDeficientError(SoftgripError):
     """Design matrix is numerically rank deficient (e.g. all angles identical)."""
 
 
-class ZeroVarianceError(SoftgripError):
-    """R^2 is undefined because all force values are identical."""
-
-
 class OutOfRangeError(SoftgripError):
     """Angle outside the model's calibrated range plus margin (extrapolation risk)."""
 

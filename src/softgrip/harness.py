@@ -64,6 +64,7 @@ committed ``BENCH_*.json`` files hold the benchmark's before/after records.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from bisect import bisect_left
@@ -888,9 +889,10 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
     draws across force levels (common random numbers).  So do the shake
     test's seed and the plants' noise seeds, so a batch derives each seed
     once per (object, trial) or (object, trial, finger), trials being
-    labelled by int index, and the lanes of one plant seed, which step in
-    lockstep, read one ``GaussStream``.  A failing trial raises, the first
-    in the order given, as a trial-by-trial loop would.
+    labelled by int index.  It builds one plant per (object, trial, finger),
+    and each of its set-point lanes, which step in lockstep, takes a shallow
+    copy of it and so reads its one ``GaussStream``.  A failing trial raises,
+    the first in the order given, as a trial-by-trial loop would.
     """
     if not trials:
         return []
@@ -914,14 +916,12 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
         draws[name, trial] = deform_thr, break_thr, derive_seed(master, "grasp", name, trial, "shake")
     targets = [t for _, setpoint, _ in trials for t in (setpoint / 2.0, setpoint / 2.0, setpoint)]
     fingers = [(name, trial, f) for name, _, trial in trials for f in range(3)]
-    plants, seeds, streams = [], {}, {}
+    built = {}  # (object, trial, finger) -> its plant, unread, copied into each of its lanes
     for name, trial, f in fingers:
-        seed = seeds.get((name, trial, f))
-        if seed is None:
-            seed = seeds[name, trial, f] = derive_seed(master, "grasp", name, trial, "plant", f)
-        plant_obj = _build_plant(cfg, f, seed)
-        plant_obj.noise = streams.setdefault(seed, plant_obj.noise)
-        plants.append(plant_obj)
+        if (name, trial, f) not in built:
+            seed = derive_seed(master, "grasp", name, trial, "plant", f)
+            built[name, trial, f] = _build_plant(cfg, f, seed)
+    plants = [copy.copy(built[key]) for key in fingers]
     lane_objs = [objs[name] for name, _, _ in fingers]
     dt = cfg.controller.period
     n = int(round(cfg.grasp.duration_s / dt))

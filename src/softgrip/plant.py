@@ -143,6 +143,15 @@ class GaussStream:
 class FingerPlant:
     """One simulated finger, owned and stepped by a single control loop."""
 
+    # Fixed attributes: a ``copy.copy`` of a plant (one per grasp lane) reads
+    # them as fast as the plant built by ``__init__``; a copied ``__dict__``
+    # would not be.
+    __slots__ = (
+        "internal_model", "tau_p", "k_duty", "bend_gain", "angle_max", "finger_stiffness",
+        "noise_sigma", "angle_noise_sigma", "filter_alpha", "noise",
+        "_block", "_start", "_k", "pressure", "angle", "contact_force", "_filter_state",
+    )
+
     def __init__(
         self,
         internal_model: PolynomialModel,

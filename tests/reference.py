@@ -8,8 +8,9 @@ on purpose.  The production kernels (``_open_loop``, ``_closed_loop`` and
 ``_grasp_lanes``) hold the state themselves and repeat its arithmetic in a
 faster form, and the tests hold them to its bits, comparing with ``hexed``
 and counting sensor reads with ``counted_senses``.
-``residual_sum_of_squares`` is the per-sample formula that calibration's
-array scoring reproduces, and ``positional_pi`` the closed form that the
+``residual_sum_of_squares`` is the per-sample formula that
+``calibration._rss`` reproduces over arrays and that ``select_model``'s
+records are checked against, and ``positional_pi`` the closed form that the
 controller's increments add up to.
 """
 

@@ -42,7 +42,7 @@ from softgrip.config import config_from_dict, default_config, validate
 from softgrip.control import Mode, Supervisor
 from softgrip.errors import NonFiniteError, OutOfRangeError, SoftgripError
 from softgrip.harness import GraspOutcome, EstimationRow
-from softgrip.plant import NOISE_BLOCK, ObjectModel
+from softgrip.plant import NOISE_BLOCK, GaussStream, ObjectModel
 
 from reference import Lane, build_supervisor, counted_senses, hexed, simulate
 
@@ -629,6 +629,35 @@ def test_grasp_lanes_of_one_plant_seed_share_one_stream(monkeypatch):
     assert all(len(streams) == 1 for streams in streams_of.values())
     # three set-points share each seed, and the streams in use are one per seed
     assert len({id(p.noise) for p in plants}) == len(streams_of) == len(plants) // 3
+
+
+def test_the_default_batch_builds_each_plant_seed_once(monkeypatch):
+    # 540 lanes over 90 (object, trial, finger) seeds: one plant and one noise
+    # stream per seed, copied into its set-points' lanes
+    cfg = default_config()
+    streams = []
+
+    class CountedStream(GaussStream):
+        __slots__ = ()
+
+        def __init__(self, rng):
+            streams.append(self)
+            super().__init__(rng)
+
+    class Batch(Exception):
+        pass
+
+    def stop(cfg, plants, *args):
+        raise Batch(plants)
+
+    monkeypatch.setattr("softgrip.plant.GaussStream", CountedStream)
+    monkeypatch.setattr(harness, "_grasp_lanes", stop)
+    with pytest.raises(Batch) as caught:
+        harness._grasp_outcomes(cfg, cfg.seed, [], grasp_trials(cfg))
+    (plants,) = caught.value.args
+    assert len(plants) == 540 and len(streams) == 90
+    assert {id(p.noise) for p in plants} == {id(s) for s in streams}
+    assert len({id(p) for p in plants}) == 540  # every lane reads through a plant of its own
 
 
 def test_a_shared_stream_read_out_of_order_raises():

@@ -5,11 +5,11 @@ Covers:
   extended-precision normal-equations oracle
 - BIC closed form, the +ln(n) penalty step, and the zero-RSS variance floor
 - degree selection: penalty tie-breaking, noisy-quartic selection over seeds,
-  permutation invariance, R^2 of the selected model, and per-degree records
-  equal to ``bic_score`` / ``r_squared`` of each fit, and one
-  ``fit_polynomial`` per degree
-- ``residual_sum_of_squares`` over arrays equals the per-sample formula bit
-  for bit, inf and NaN residuals included, and raises ``OverflowError``
+  permutation invariance, R^2 in the records (None when every force is the
+  same), per-degree records equal to per-sample formulas over generated
+  samples, and one ``fit_polynomial`` per degree
+- the RSS over arrays (``calibration._rss``) equals the per-sample formula
+  bit for bit, inf and NaN residuals included, and raises ``OverflowError``
   where that formula's square overflows
 - angles whose powers overflow fail their degree as rank deficient
 - OLS invariants: residual orthogonality (column-normalized), nested-RSS
@@ -34,15 +34,12 @@ from softgrip.calibration import (
     SIGMA2_FLOOR,
     PolynomialModel,
     Sample,
-    bic_score,
     fit_polynomial,
-    r_squared,
-    residual_sum_of_squares,
     save_report,
     save_samples,
     select_model,
 )
-from softgrip.errors import InsufficientDataError, RankDeficientError, ZeroVarianceError
+from softgrip.errors import InsufficientDataError, RankDeficientError
 
 import reference
 
@@ -58,6 +55,13 @@ def poly_samples(weights, angles, noise=0.0, rng=None):
             v += rng.gauss(0.0, noise)
         out.append(Sample(a, v))
     return out
+
+
+def array_rss(model, samples):
+    """``calibration._rss`` of ``model`` over the samples' arrays."""
+    x = np.array([s.angle for s in samples], dtype=float)
+    y = np.array([s.force for s in samples], dtype=float)
+    return calibration._rss(model.weights, x, y)
 
 
 def longdouble_normal_solve(samples, degree):
@@ -124,25 +128,26 @@ def test_bic_hand_value():
     # 10 samples with residuals +/-1 around a zero model: RSS=10, sigma2=1
     samples = [Sample(float(i), 1.0 if i % 2 == 0 else -1.0) for i in range(10)]
     model = PolynomialModel(0, (0.0,))
-    assert residual_sum_of_squares(model, samples) == pytest.approx(10.0)
+    rss = array_rss(model, samples)
+    assert rss == pytest.approx(10.0)
     expected = math.log(10) + 10.0 * (math.log(2.0 * math.pi) + 1.0)
-    assert bic_score(model, samples) == pytest.approx(expected, rel=1e-12)
+    assert calibration._bic(rss, 10, 0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_bic_penalty_step_is_ln_n():
     samples = [Sample(float(i), float(i % 3)) for i in range(12)]
     m0 = PolynomialModel(0, (0.3,))
     m1 = PolynomialModel(1, (0.3, 0.0))  # identical predictions, one extra weight
-    assert bic_score(m1, samples) - bic_score(m0, samples) == pytest.approx(
-        math.log(12), rel=1e-12
-    )
+    bic0 = calibration._bic(array_rss(m0, samples), 12, 0)
+    bic1 = calibration._bic(array_rss(m1, samples), 12, 1)
+    assert bic1 - bic0 == pytest.approx(math.log(12), rel=1e-12)
 
 
 def test_bic_zero_rss_uses_floor():
     samples = [Sample(x, 2.0 * x) for x in (0.0, 1.0, 2.0)]
     model = PolynomialModel(1, (0.0, 2.0))
-    score = bic_score(model, samples)
     n = 3
+    score = calibration._bic(array_rss(model, samples), n, 1)
     expected = math.log(n) * 2 + n * (math.log(2.0 * math.pi * SIGMA2_FLOOR) + 1.0)
     assert math.isfinite(score)
     assert score == pytest.approx(expected, rel=1e-12)
@@ -198,20 +203,47 @@ def test_select_monotone_force_data_high_r2():
     assert selected.r_squared >= 0.95
 
 
-def test_select_records_equal_the_scores_of_each_fit():
-    # select_model takes one residual pass per degree; its records must be
-    # the scores bic_score and r_squared give each fitted model, bit for bit
-    rng = random.Random(5)
-    angles = [120.0 * k / 59 for k in range(60)]
-    samples = poly_samples((0.02, 5e-4, 5e-6, 5e-8, 1e-8), angles, noise=0.02, rng=rng)
-    report = select_model(samples, max_degree=6)
+@st.composite
+def calibration_sets(draw):
+    """(max_degree, samples) that ``select_model`` accepts: angles that repeat
+    or crowd together (rank-deficient degrees), and forces that may be all
+    equal (a total sum of squares of 0.0)."""
+    max_degree = draw(st.integers(0, 4))
+    n = draw(st.integers(max_degree + 2, 30))
+    angle = st.one_of(st.sampled_from([0.0, 45.0, 90.0]), st.floats(0.0, 180.0))
+    angles = draw(st.lists(angle, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        forces = [draw(st.floats(-5.0, 5.0))] * n
+    else:
+        forces = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    return max_degree, [Sample(a, f) for a, f in zip(angles, forces)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=calibration_sets())
+@example(case=(2, [Sample(float(i), 0.7) for i in range(6)]))  # all forces equal
+@example(case=(2, [Sample(5.0, 1.0 + 0.1 * i) for i in range(6)]))  # all angles equal
+def test_select_records_equal_the_scores_of_each_fit(case):
+    # each record's scores, bit for bit, from per-sample formulas: the RSS by
+    # one predict per sample, the TSS as the RSS of the constant mean model
+    max_degree, samples = case
+    n = len(samples)
+    report = select_model(samples, max_degree=max_degree)
+    mean = sum(s.force for s in samples) / n
+    tss = reference.residual_sum_of_squares(PolynomialModel(0, (mean,)), samples)
+    distinct = len({s.angle for s in samples})
+    assert [r.degree for r in report.records] == list(range(max_degree + 1))
     for rec in report.records:
-        model = PolynomialModel(rec.degree, rec.weights)
-        rss = residual_sum_of_squares(model, samples)
-        assert rec.rss.hex() == rss.hex()
-        assert rec.sigma2_hat.hex() == max(rss / len(samples), SIGMA2_FLOOR).hex()
-        assert rec.bic.hex() == bic_score(model, samples).hex()
-        assert rec.r_squared.hex() == r_squared(model, samples).hex()
+        if rec.error is not None:
+            assert (rec.weights, rec.rss, rec.sigma2_hat, rec.bic, rec.r_squared) == (None,) * 5
+            continue
+        assert distinct > rec.degree  # fewer distinct angles than weights is rank deficient
+        rss = reference.residual_sum_of_squares(PolynomialModel(rec.degree, rec.weights), samples)
+        sigma2 = max(rss / n, SIGMA2_FLOOR)
+        bic = math.log(n) * (rec.degree + 1) + n * (math.log(2.0 * math.pi * sigma2) + 1.0)
+        r2 = None if tss == 0.0 else 1.0 - rss / tss
+        got = (rec.rss, rec.sigma2_hat, rec.bic, rec.r_squared)
+        assert reference.hexed(got) == reference.hexed((rss, sigma2, bic, r2))
 
 
 def test_select_fits_each_degree_once(monkeypatch):
@@ -249,9 +281,9 @@ def test_rss_is_the_per_sample_formula(weights, points):
         expected = reference.residual_sum_of_squares(model, samples)
     except OverflowError:
         with pytest.raises(OverflowError):
-            residual_sum_of_squares(model, samples)
+            array_rss(model, samples)
         return
-    assert residual_sum_of_squares(model, samples).hex() == expected.hex()
+    assert array_rss(model, samples).hex() == expected.hex()
 
 
 def test_select_requires_enough_samples():
@@ -282,20 +314,20 @@ def test_overflowing_powers_are_rank_deficient():
 
 def test_r_squared_basics():
     samples = [Sample(x, 2.0 * x) for x in (0.0, 1.0, 2.0, 3.0)]
-    exact = fit_polynomial(samples, 1)
-    assert r_squared(exact, samples) == pytest.approx(1.0, abs=1e-12)
-    mean_model = fit_polynomial(samples, 0)
-    assert r_squared(mean_model, samples) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ZeroVarianceError):
-        r_squared(exact, [Sample(0.0, 1.0), Sample(1.0, 1.0)])
+    mean_fit, exact = select_model(samples, max_degree=1).records
+    assert exact.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert mean_fit.r_squared == pytest.approx(0.0, abs=1e-12)
+    # every force the same: R^2 is undefined, and each record reads None
+    flat = select_model([Sample(x, 1.0) for x in (0.0, 1.0, 2.0)], max_degree=1)
+    assert [r.r_squared for r in flat.records] == [None, None]
+    assert all(r.error is None for r in flat.records)
 
 
 def test_r_squared_noisy_quartic():
     rng = random.Random(3)
     angles = [180.0 * k / 34 for k in range(35)]
     samples = poly_samples(QUARTIC, angles, noise=0.05, rng=rng)
-    model = fit_polynomial(samples, 4)
-    assert r_squared(model, samples) >= 0.95
+    assert select_model(samples, max_degree=4).records[4].r_squared >= 0.95
 
 
 def test_residual_orthogonality_invariant():
@@ -324,9 +356,7 @@ def test_nested_rss_never_increases():
     for _ in range(20):
         n = rng.randrange(10, 30)
         samples = [Sample(rng.uniform(0, 150), rng.uniform(0, 2)) for _ in range(n)]
-        rss = [
-            residual_sum_of_squares(fit_polynomial(samples, d), samples) for d in range(5)
-        ]
+        rss = [r.rss for r in select_model(samples, max_degree=4).records]
         for lo, hi in zip(rss, rss[1:]):
             assert hi <= lo + 1e-9 * (1.0 + lo)
 
