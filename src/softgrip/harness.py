@@ -116,16 +116,11 @@ class Trace:
     f_c_true: array = _floats()
     mode: list = field(default_factory=list)
 
-    def append(self, t, duty, pressure, angle, f_m, f_i_pred, f_c_est, f_c_true, mode):
-        self.t.append(t)
-        self.duty.append(duty)
-        self.pressure.append(pressure)
-        self.angle.append(angle)
-        self.f_m.append(f_m)
-        self.f_i_pred.append(f_i_pred)
-        self.f_c_est.append(f_c_est)
-        self.f_c_true.append(f_c_true)
-        self.mode.append(mode)
+    def append(self, *row):
+        """Append one row, its values given positionally in column order.  A
+        row of another length raises ``ValueError`` and appends nothing."""
+        for column, value in list(zip(vars(self).values(), row, strict=True)):
+            column.append(value)
 
     def __len__(self):
         return len(self.t)
@@ -228,22 +223,14 @@ def _segment(t: list, t_start: float, t_end: float) -> slice:
 
 
 def _build_plant(cfg: Config, finger: int, seed: int) -> FingerPlant:
-    pc = cfg.plant
-    scale = pc.finger_scales[finger % len(pc.finger_scales)]
-    weights = tuple(float(w) * scale for w in pc.internal_weights)
+    """The finger's plant: ``cfg.plant``'s mechanical fields by name, and
+    ``internal_weights`` scaled by the finger's ``finger_scales`` entry as
+    its internal-force model."""
+    mechanics = dict(vars(cfg.plant))
+    scales = mechanics.pop("finger_scales")
+    weights = tuple(float(w) * scales[finger % len(scales)] for w in mechanics.pop("internal_weights"))
     model = PolynomialModel(degree=len(weights) - 1, weights=weights)
-    return FingerPlant(
-        internal_model=model,
-        tau_p=pc.tau_p,
-        k_duty=pc.k_duty,
-        bend_gain=pc.bend_gain,
-        angle_max=pc.angle_max,
-        finger_stiffness=pc.finger_stiffness,
-        noise_sigma=pc.noise_sigma,
-        angle_noise_sigma=pc.angle_noise_sigma,
-        filter_alpha=pc.filter_alpha,
-        seed=seed,
-    )
+    return FingerPlant(model, seed=seed, **mechanics)
 
 
 def _build_controller(cfg: Config) -> PiController:
@@ -887,42 +874,32 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
     opposable one exactly.  Failure thresholds draw from a trial RNG keyed by
     (master, object, trial) -- deliberately not by set-point, so sweeps share
     draws across force levels (common random numbers).  So do the shake
-    test's seed and the plants' noise seeds, so a batch derives each seed
-    once per (object, trial) or (object, trial, finger), trials being
-    labelled by int index.  It builds one plant per (object, trial, finger),
-    and each of its set-point lanes, which step in lockstep, takes a shallow
-    copy of it and so reads its one ``GaussStream``.  A failing trial raises,
-    the first in the order given, as a trial-by-trial loop would.
+    test's seed and the plants' noise seeds, so the batch sets up each
+    (object, trial) once, in one pass, as one record: its deform and break
+    thresholds, its shake seed and its three unread plants, trials being
+    labelled by int index.  Each of its set-point lanes, which step in
+    lockstep, takes a shallow copy of its finger's plant and so reads that
+    plant's one ``GaussStream``.  A failing trial raises, the first in the
+    order given, as a trial-by-trial loop would.
     """
     if not trials:
         return []
     objs = {name: oc.build() for name, oc in cfg.grasp.objects.items()}
-    draws = {}  # (object, trial) -> (deform threshold, break threshold, shake seed)
+    setups = {}  # (object, trial) -> (deform threshold, break threshold, shake seed, plants)
     for name, _, trial in trials:
-        if (name, trial) in draws:
+        if (name, trial) in setups:
             continue
-        obj = objs[name]
-        trial_rng = random.Random(derive_seed(master, "grasp", name, trial, "thresholds"))
-        deform_thr = (
-            trial_rng.gauss(obj.deform_threshold, obj.deform_spread)
-            if math.isfinite(obj.deform_threshold)
-            else math.inf
+        obj, label = objs[name], ("grasp", name, trial)
+        trial_rng = random.Random(derive_seed(master, *label, "thresholds"))
+        deform_thr, break_thr = (
+            trial_rng.gauss(mean, spread) if math.isfinite(mean) else math.inf
+            for mean, spread in ((obj.deform_threshold, obj.deform_spread), (obj.break_threshold, obj.break_spread))
         )
-        break_thr = (
-            trial_rng.gauss(obj.break_threshold, obj.break_spread)
-            if math.isfinite(obj.break_threshold)
-            else math.inf
-        )
-        draws[name, trial] = deform_thr, break_thr, derive_seed(master, "grasp", name, trial, "shake")
+        plants = [_build_plant(cfg, f, derive_seed(master, *label, "plant", f)) for f in range(3)]
+        setups[name, trial] = deform_thr, break_thr, derive_seed(master, *label, "shake"), plants
     targets = [t for _, setpoint, _ in trials for t in (setpoint / 2.0, setpoint / 2.0, setpoint)]
-    fingers = [(name, trial, f) for name, _, trial in trials for f in range(3)]
-    built = {}  # (object, trial, finger) -> its plant, unread, copied into each of its lanes
-    for name, trial, f in fingers:
-        if (name, trial, f) not in built:
-            seed = derive_seed(master, "grasp", name, trial, "plant", f)
-            built[name, trial, f] = _build_plant(cfg, f, seed)
-    plants = [copy.copy(built[key]) for key in fingers]
-    lane_objs = [objs[name] for name, _, _ in fingers]
+    plants = [copy.copy(p) for name, _, trial in trials for p in setups[name, trial][3]]
+    lane_objs = [objs[name] for name, _, _ in trials for _ in range(3)]
     dt = cfg.controller.period
     n = int(round(cfg.grasp.duration_s / dt))
     tail_from = max(0, n - int(round(cfg.grasp.settle_window_s / dt)))
@@ -938,7 +915,7 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
         own = slice(3 * k, 3 * k + 3)
         tail, peaks = tail_sums[own].tolist(), peak[own].tolist()
         grip = sum(tail[f] / (n - tail_from) for f in range(3))
-        deform_thr, break_thr, shake_seed = draws[name, trial]
+        deform_thr, break_thr, shake_seed, _ = setups[name, trial]
         deformed = any(pk > deform_thr for pk in peaks)
         broken = any(pk > break_thr for pk in peaks)
         held = shake_test(grip, objs[name], random.Random(shake_seed))

@@ -2,6 +2,8 @@
 
 Covers:
 - trace shape/CSV round trip and metrics recomputation from the exported CSV
+- ``Trace.append`` fills the columns in field order, and a row of another
+  length appends nothing
 - calibration experiment: degree-4 selection, near-perfect R^2 with noise off,
   coefficient confidence tightening with more cycles
 - estimation accuracy: noise-off error bound, unreachable positions and
@@ -14,6 +16,8 @@ Covers:
   batches, a repeated set-point counted once per row
 - hardness: stiff/soft classification, and no classification in free
   space, for points of one force, or without a detected contact
+- every mechanical ``PlantConfig`` field, and the finger's scaled internal
+  weights, reach the plant ``_build_plant`` builds
 - the tick kernel: calibration with and without a trace, early exit, and
   one ``contact_force`` per hardness-probe tick, looked up where the
   benchmark's tracer wraps it
@@ -37,7 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softgrip import harness
-from softgrip.config import config_from_dict, default_config
+from softgrip.config import config_from_dict, default_config, validate
 from softgrip.harness import (
     Trace,
     compute_step_metrics,
@@ -100,6 +104,16 @@ def test_trace_csv_writes_each_number_as_its_repr(tmp_path):
     trace.to_csv(path)
     expected = [",".join(harness.TRACE_HEADER)] + [",".join(map(repr, row)) + ",probe" for row in rows]
     assert path.read_bytes() == "".join(line + "\r\n" for line in expected).encode()
+
+
+def test_trace_append_takes_one_row_in_column_order():
+    trace = Trace()
+    trace.append(*map(float, range(8)), "probe")
+    assert [column[0] for column in vars(trace).values()] == [*map(float, range(8)), "probe"]
+    for row in ([0.0] * 8, [0.0] * 8 + ["probe", "extra"]):
+        with pytest.raises(ValueError):
+            trace.append(*row)
+    assert {len(column) for column in vars(trace).values()} == {1}
 
 
 def test_hexed_reads_float_arrays_bit_for_bit():
@@ -435,6 +449,24 @@ def test_traces_and_senses_hold_python_floats(seed, noise_sigma, angle_noise_sig
         *numbers, modes = vars(trace).values()
         assert all(type(column) is array and column.typecode == "d" for column in numbers)
         assert all(type(v) is float for column in numbers for v in column)
+
+
+def test_every_mechanical_plant_field_reaches_each_finger():
+    # each field its own in-bounds value, none its default, so a field read
+    # into another's place or left at its default shows
+    mechanics = {
+        "tau_p": 0.041, "k_duty": 0.7, "bend_gain": 1.9, "angle_max": 121.0,
+        "finger_stiffness": 0.031, "noise_sigma": 0.013, "angle_noise_sigma": 0.07, "filter_alpha": 0.9,
+    }
+    weights, scales = [0.03, 4e-4, 6e-6, 4e-8, 2e-8], [1.1, 0.9, 1.05]
+    defaults = vars(default_config().plant)
+    assert all(value != defaults[name] for name, value in mechanics.items())
+    cfg = config_from_dict({"plant": {**mechanics, "internal_weights": weights, "finger_scales": scales}})
+    assert validate(cfg) == []
+    for f, scale in enumerate(scales):
+        plant = harness._build_plant(cfg, f, 1)
+        assert {name: getattr(plant, name) for name in mechanics} == mechanics
+        assert list(map(float.hex, plant.internal_model.weights)) == [(w * scale).hex() for w in weights]
 
 
 def test_simulate_stops_before_stepping_when_policy_returns_none(cfg):
