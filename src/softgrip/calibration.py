@@ -225,7 +225,7 @@ def select_model(samples: list[Sample], max_degree: int = DEFAULT_MAX_DEGREE) ->
         if best is None or bic < best[0]:
             best = (bic, degree)
     if best is None:
-        raise last_error if last_error is not None else RankDeficientError("all fits failed")
+        raise last_error  # max_degree >= 0, so some degree failed and set it
     return CalibrationReport(
         records=tuple(records),
         selected_degree=best[1],

@@ -6,8 +6,8 @@ are rejected with their full path, and ``validate`` returns per-field
 diagnostics for out-of-range values.
 
 Each bounded field declares its bound beside its default (the ``_bounded``
-metadata below); ``validate`` walks the tree once, checking every number
-against that bound and rejecting NaN and inf (the failure thresholds admit
+metadata below); ``validate`` walks the tree once, checking every number and
+list against that bound and rejecting NaN and inf (the failure thresholds admit
 inf), then applies the few rules that span fields.
 """
 
@@ -27,10 +27,10 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class _Bound:
-    """A field's admissible values; ``test`` is written so that NaN fails it."""
+    """A field's admissible values; ``test`` is written so that NaN fails it, and takes a list whole."""
 
     rule: str
-    test: Callable[[float], bool]
+    test: Callable[[float | list], bool]
     admits_inf: bool = False
     in_ticks: bool = False  # test the span in control ticks, value / controller.period
 
@@ -49,6 +49,13 @@ _AT_LEAST_ONE = _Bound("must be >= 1", lambda v: v >= 1)
 # the squares of noisier force readings overflow calibration's sums, and the
 # powers of noisier angles its fit
 _NOISE = _Bound("must be in [0, 1e100]", lambda v: 0 <= v <= 1e100)
+# calibration drives duties of several percent: k_duty * duty must stay finite,
+# or the pressure recurrence computes inf - inf
+_GAIN = _Bound("must be in (0, 1e100]", lambda v: 0 < v <= 1e100)
+# one calibrated span past each end; margin * span must not overflow
+_MARGIN = _Bound("must be in [0, 1]", lambda v: 0 <= v <= 1)
+_NONEMPTY = _Bound("must be nonempty", lambda v: len(v) > 0)
+_THREE = _Bound("must list exactly 3 factors", lambda v: len(v) == 3)
 _DUTY = _Bound(f"must be <= {plant.MAX_DUTY:g} (the PWM duty ceiling)", lambda v: v <= plant.MAX_DUTY)
 # a failure threshold of inf means the object never deforms or breaks
 _THRESHOLD = _Bound("must be > 0", lambda v: v > 0, admits_inf=True)
@@ -69,21 +76,24 @@ _STEP_SEGMENT = _Bound(
 
 
 def _bounded(default, bound: _Bound):
+    """A field with its bound beside its default; a list's default is a factory."""
+    if callable(default):
+        return field(default_factory=default, metadata={"bound": bound})
     return field(default=default, metadata={"bound": bound})
 
 
 @dataclass
 class PlantConfig:
     tau_p: float = _bounded(plant.DEFAULT_TAU_P, _POSITIVE)
-    k_duty: float = _bounded(plant.DEFAULT_K_DUTY, _POSITIVE)
+    k_duty: float = _bounded(plant.DEFAULT_K_DUTY, _GAIN)
     bend_gain: float = _bounded(plant.DEFAULT_BEND_GAIN, _POSITIVE)
     angle_max: float = _bounded(plant.DEFAULT_ANGLE_MAX, _POSITIVE)
     finger_stiffness: float = _bounded(plant.DEFAULT_FINGER_STIFFNESS, _POSITIVE)
     noise_sigma: float = _bounded(plant.DEFAULT_NOISE_SIGMA, _NOISE)
     angle_noise_sigma: float = _bounded(plant.DEFAULT_ANGLE_NOISE_SIGMA, _NOISE)
     filter_alpha: float = _bounded(plant.DEFAULT_FILTER_ALPHA, _UNIT_OPEN_BELOW)
-    internal_weights: list = field(default_factory=lambda: list(plant.DEFAULT_INTERNAL_WEIGHTS))
-    finger_scales: list = field(default_factory=lambda: list(plant.DEFAULT_FINGER_SCALES))
+    internal_weights: list = _bounded(lambda: list(plant.DEFAULT_INTERNAL_WEIGHTS), _NONEMPTY)
+    finger_scales: list = _bounded(lambda: list(plant.DEFAULT_FINGER_SCALES), _THREE)
 
 
 @dataclass
@@ -99,7 +109,7 @@ class ControllerConfig:
 class SupervisorConfig:
     approach_rate: float = _bounded(control.DEFAULT_APPROACH_RATE, _POSITIVE)
     contact_threshold: float = _bounded(estimation.DEFAULT_CONTACT_THRESHOLD, _POSITIVE)
-    extrapolation_margin: float = _bounded(estimation.DEFAULT_EXTRAPOLATION_MARGIN, _NON_NEGATIVE)
+    extrapolation_margin: float = _bounded(estimation.DEFAULT_EXTRAPOLATION_MARGIN, _MARGIN)
 
 
 @dataclass
@@ -141,7 +151,7 @@ class StepConfig:
     object: ObjectConfig = field(
         default_factory=lambda: ObjectConfig(position_angle=6.0, stiffness=1.4)
     )
-    warm_start_duty: float = 8.0
+    warm_start_duty: float = _bounded(8.0, _DUTY)
     first_target: float = _bounded(3.0, _POSITIVE)
     second_target: float = _bounded(2.0, _POSITIVE)
     segment_s: float = _bounded(60.0, _STEP_SEGMENT)
@@ -160,7 +170,7 @@ class SwitchingConfig:
 
 @dataclass
 class EstimationConfig:
-    positions: list = field(default_factory=lambda: [15.0, 22.0, 29.0, 36.0, 43.0])
+    positions: list = _bounded(lambda: [15.0, 22.0, 29.0, 36.0, 43.0], _NONEMPTY)
     scale_stiffness: float = _bounded(0.5, _POSITIVE)
     target: float = _bounded(2.0, _POSITIVE)  # N, the ~200 g scale target
     ramp_rate: float = _bounded(8.0, _POSITIVE)  # duty-%/s while pressing
@@ -172,7 +182,7 @@ class EstimationConfig:
 
 @dataclass
 class GraspConfig:
-    setpoints: list = field(default_factory=lambda: [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    setpoints: list = _bounded(lambda: [0.5, 1.0, 1.5, 2.0, 3.0, 4.0], _NONEMPTY)
     n_trials: int = _bounded(10, _AT_LEAST_ONE)
     duration_s: float = _bounded(10.0, _ONE_TICK)
     settle_window_s: float = _bounded(0.5, _ONE_TICK)
@@ -209,7 +219,7 @@ class HardnessConfig:
     position_angle: float = 48.0  # contact at 40% duty with the default geometry
     stiff_stiffness: float = _bounded(0.5, _POSITIVE)
     soft_stiffness: float = _bounded(0.03, _POSITIVE)
-    ramp_rate: float = 15.0
+    ramp_rate: float = _bounded(15.0, _NON_NEGATIVE)  # a falling duty never presses, and overflows to -inf
     max_duty: float = _bounded(plant.MAX_DUTY, _DUTY)
     duration_s: float = _bounded(8.0, _ONE_TICK)
     min_contact_force: float = _bounded(0.25, _NON_NEGATIVE)
@@ -266,15 +276,15 @@ def _merge(obj, data: dict, path: str):
                 if isinstance(item, bool) or not finite:
                     raise ConfigError(f"{where}[{k}]: expected a finite number")
             setattr(obj, key, list(value))
-        elif isinstance(current, bool) or isinstance(value, (dict, list)):
+        elif isinstance(value, (dict, list)):
             raise ConfigError(f"{where}: unexpected value type {type(value).__name__}")
-        elif isinstance(current, int) and not isinstance(current, bool):
+        elif isinstance(current, int):
             # an integral float such as 2.0 loads as 2, so seeds hash the same
             integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
             if isinstance(value, bool) or not integral:
                 raise ConfigError(f"{where}: expected an integer")
             setattr(obj, key, int(value))
-        elif isinstance(current, float):
+        else:  # every other field is a float
             if isinstance(value, str) and value in ("inf", "Infinity"):
                 setattr(obj, key, math.inf)
             elif isinstance(value, bool) or not isinstance(value, _NUMERIC):
@@ -283,8 +293,6 @@ def _merge(obj, data: dict, path: str):
                 raise ConfigError(f"{where}: expected a finite number")
             else:
                 setattr(obj, key, float(value))
-        else:
-            setattr(obj, key, value)
     return obj
 
 
@@ -326,7 +334,7 @@ def config_to_dict(cfg: Config) -> dict:
 
 
 def _field_errors(node, path: str, period: float | None) -> list[str]:
-    """Check each number in a dataclass tree against the bound beside its default."""
+    """Check each number and list in a dataclass tree against the bound beside its default."""
     errs = []
     for f in dataclasses.fields(node):
         where, value = path + f.name, getattr(node, f.name)
@@ -355,19 +363,10 @@ def validate(cfg: Config) -> list[str]:
         errs.append("controller.output_min: must be < controller.output_max")
     if cal.levels <= cal.max_degree:
         errs.append("calibration.levels: must exceed calibration.max_degree")
-    if len(pc.finger_scales) != 3:
-        errs.append("plant.finger_scales: must list exactly 3 factors")
     # calibration squares the forces; Horner on |weights| bounds them over bends 0..angle_max
     scale, force = max(map(abs, pc.finger_scales), default=0), 0.0
     for w in reversed(pc.internal_weights):
         force = force * pc.angle_max + abs(w) * scale
     if math.isfinite(pc.angle_max) and force > 1e100:
         errs.append("plant.internal_weights: must keep the internal force within 1e100 N at any bend")
-    for where, items in (
-        ("plant.internal_weights", pc.internal_weights),
-        ("estimation.positions", cfg.estimation.positions),
-        ("grasp.setpoints", cfg.grasp.setpoints),
-    ):
-        if not items:
-            errs.append(f"{where}: must be nonempty")
     return errs

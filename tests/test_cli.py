@@ -201,6 +201,20 @@ def test_validate_unknown_key_exit_2(tmp_path, capsys):
         ({"switching.duration_s": 1e300}, [], "switching.duration_s"),
         ({"calibration.hold_s": 1e300}, [], "calibration.hold_s"),
         ({"step.segment_s": 1e300}, [], "step.segment_s"),
+    ]
+    + [
+        # k_duty * duty overflows, and the pressure recurrence computes inf - inf
+        ({"plant.k_duty": 1e308}, [], "plant.k_duty"),
+        # a warm start past the duty ceiling; at 1e308 every trace row read NaN
+        ({"step.warm_start_duty": 1e308, "plant.k_duty": 2.0}, [], "step.warm_start_duty"),
+        # margin * span overflows, so no angle is out of range
+        (
+            {"hardness.position_angle": -1e154, "supervisor.extrapolation_margin": 1e308},
+            [],
+            "supervisor.extrapolation_margin",
+        ),
+        # a falling duty never presses, and overflows to -inf in the trace
+        ({"hardness.ramp_rate": -1e308}, [], "hardness.ramp_rate"),
     ],
 )
 def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args, field):

@@ -10,14 +10,20 @@ Covers:
 - the rules that span fields
 - integer fields: an integral float loads as an int, any other value is a
   ``ConfigError`` naming the field
+- each float leaf alone at +/-1e308, at tiny sizes: ``validate`` rejects it,
+  or every command exits 0 or 1 without raising, and an exit-0 run writes
+  only finite numbers
 """
 
 import dataclasses
+import json
 import math
 import re
+import shutil
 
 import pytest
 
+from softgrip.cli import main
 from softgrip.config import config_from_dict, config_to_dict, default_config, validate
 from softgrip.control import DEFAULT_OUTPUT_MIN, PiController
 from softgrip.errors import ConfigError
@@ -41,9 +47,9 @@ def float_leaves(node, path=""):
             yield where
 
 
-def with_value(path: str, value):
-    """The default config with the field at dotted ``path`` set to ``value``."""
-    cfg = default_config()
+def with_value(path: str, value, cfg=None):
+    """``cfg`` (the default config if None) with the field at dotted ``path`` set to ``value``."""
+    cfg = cfg or default_config()
     *parents, leaf = path.split(".")
     node = cfg
     for part in parents:
@@ -152,3 +158,58 @@ def test_non_integral_count_names_the_field(value):
 def test_controller_and_config_share_the_lower_duty_default():
     assert default_config().controller.output_min == PiController().output_min == DEFAULT_OUTPUT_MIN == 0.0
     assert config_to_dict(default_config())["controller"]["output_min"] == 0.0
+
+
+# every command's smallest useful run: each still calibrates, presses, grasps
+# and probes, and the whole sweep below takes a few seconds
+TINY = {
+    "calibration": {"cycles": 1, "levels": 8, "hold_s": 0.05, "rest_s": 0.5},
+    "step": {"n_seeds": 1, "segment_s": 0.5},
+    "switching": {"n_seeds": 1, "duration_s": 1.0},
+    "estimation": {"n_seeds": 1, "positions": [15.0], "ramp_rate": 60.0, "settle_s": 0.05,
+                   "window_s": 0.05, "timeout_s": 3.0},
+    "grasp": {"setpoints": [1.0], "n_trials": 1, "duration_s": 1.0, "settle_window_s": 0.1},
+    "hardness": {"duration_s": 4.0, "ramp_rate": 30.0},
+}
+COMMANDS = (
+    ["calibrate"], ["run", "step"], ["run", "switch"], ["run", "grasp"], ["run", "hardness"], ["run", "estimate"],
+)
+
+
+def non_finite_outputs(out) -> list[str]:
+    """The files under ``out``, the manifest aside, that hold a NaN or an inf:
+    CSV cells are written by ``repr`` (nan, inf) and JSON by ``json.dump``
+    (NaN, Infinity)."""
+    token = re.compile(r"\b(nan|inf|NaN|Infinity)\b")
+    return [f.name for f in sorted(out.iterdir()) if f.name != "manifest.json" and token.search(f.read_text())]
+
+
+def test_extreme_float_leaf_is_rejected_or_runs_cleanly(tmp_path, capsys):
+    """Each float leaf alone at +/-1e308: ``validate`` rejects it, or each
+    command exits 0, or 1 with one ``error:`` line, without raising, and
+    writes only finite numbers when it exits 0.  A rejection need not name
+    the leaf: plant.angle_max feeds the internal-force rule, which names
+    plant.internal_weights."""
+    out, failures = tmp_path / "out", []
+    assert validate(config_from_dict(TINY)) == []
+    for path in LEAVES:
+        for value in (1e308, -1e308):
+            cfg = with_value(path, value, config_from_dict(TINY))
+            if validate(cfg):
+                continue
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config_to_dict(cfg)))
+            for command in COMMANDS:
+                key = f"{path}={value} {' '.join(command)}"
+                try:
+                    rc = main(command + ["--config", str(config_path), "--out", str(out)])
+                except Exception as exc:  # each raising command is reported, and the sweep goes on
+                    failures.append(f"{key}: raised {type(exc).__name__}: {exc}")
+                    continue
+                err = capsys.readouterr().err
+                if rc not in (0, 1) or (rc == 1 and not re.fullmatch(r"error: [^\n]*\n", err)):
+                    failures.append(f"{key}: exit {rc}, stderr {err!r}")
+                elif rc == 0 and (bad := non_finite_outputs(out)):
+                    failures.append(f"{key}: non-finite numbers in {bad}")
+                shutil.rmtree(out, ignore_errors=True)
+    assert not failures, "\n".join(failures)
