@@ -54,6 +54,9 @@ _NOISE = _Bound("must be in [0, 1e100]", lambda v: 0 <= v <= 1e100)
 _GAIN = _Bound("must be in (0, 1e100]", lambda v: 0 < v <= 1e100)
 # one calibrated span past each end; margin * span must not overflow
 _MARGIN = _Bound("must be in [0, 1]", lambda v: 0 <= v <= 1)
+# the step and switch runs divide their overshoot by the target, and the
+# contact force stays within 1e100 N (``validate``), so the fraction stays finite
+_TARGET = _Bound("must be >= 1e-100", lambda v: v >= 1e-100)
 _NONEMPTY = _Bound("must be nonempty", lambda v: len(v) > 0)
 _THREE = _Bound("must list exactly 3 factors", lambda v: len(v) == 3)
 _DUTY = _Bound(f"must be <= {plant.MAX_DUTY:g} (the PWM duty ceiling)", lambda v: v <= plant.MAX_DUTY)
@@ -152,8 +155,8 @@ class StepConfig:
         default_factory=lambda: ObjectConfig(position_angle=6.0, stiffness=1.4)
     )
     warm_start_duty: float = _bounded(8.0, _DUTY)
-    first_target: float = _bounded(3.0, _POSITIVE)
-    second_target: float = _bounded(2.0, _POSITIVE)
+    first_target: float = _bounded(3.0, _TARGET)
+    second_target: float = _bounded(2.0, _TARGET)
     segment_s: float = _bounded(60.0, _STEP_SEGMENT)
     n_seeds: int = _bounded(5, _AT_LEAST_ONE)
 
@@ -163,7 +166,7 @@ class SwitchingConfig:
     object: ObjectConfig = field(
         default_factory=lambda: ObjectConfig(position_angle=6.0, stiffness=0.28)
     )
-    target: float = _bounded(2.5, _POSITIVE)
+    target: float = _bounded(2.5, _TARGET)
     duration_s: float = _bounded(15.0, _ONE_TICK)
     n_seeds: int = _bounded(10, _AT_LEAST_ONE)
 
@@ -351,9 +354,23 @@ def _field_errors(node, path: str, period: float | None) -> list[str]:
     return errs
 
 
+def _presses(cfg: Config) -> list:
+    """(field, stiffness, positions) of every object a run presses the finger on."""
+    est, hc = cfg.estimation, cfg.hardness
+    objs = {"step.object": cfg.step.object, "switching.object": cfg.switching.object}
+    objs.update((f"grasp.objects.{name}", oc) for name, oc in cfg.grasp.objects.items())
+    return [(f"{where}.stiffness", o.stiffness, [o.position_angle]) for where, o in objs.items()] + [
+        ("estimation.scale_stiffness", est.scale_stiffness, est.positions),
+        ("hardness.stiff_stiffness", hc.stiff_stiffness, [hc.position_angle]),
+        ("hardness.soft_stiffness", hc.soft_stiffness, [hc.position_angle]),
+    ]
+
+
 def validate(cfg: Config) -> list[str]:
-    """Check every field's bound, then the rules that span fields; returns a
-    list of 'path: problem' strings."""
+    """Check every field's bound, then the five rules that span fields: the
+    tick against plant.tau_p, the duty range, the calibration levels against
+    the fit degree, the internal force and the contact force.  Returns a list
+    of 'path: problem' strings."""
     pc, cc, cal = cfg.plant, cfg.controller, cfg.calibration
     errs = _field_errors(cfg, "", cc.period if 0.0 < cc.period < math.inf else None)
     # a NaN leaf is already reported above; these comparisons skip it
@@ -363,10 +380,22 @@ def validate(cfg: Config) -> list[str]:
         errs.append("controller.output_min: must be < controller.output_max")
     if cal.levels <= cal.max_degree:
         errs.append("calibration.levels: must exceed calibration.max_degree")
-    # calibration squares the forces; Horner on |weights| bounds them over bends 0..angle_max
+    # calibration squares the forces, and its trace predicts them at each angle read;
+    # Horner on |weights| bounds them over readings within angle_max + 9 sigma
+    # (a GaussStream value is below 8.6 in magnitude)
     scale, force = max(map(abs, pc.finger_scales), default=0), 0.0
+    read = pc.angle_max + 9.0 * pc.angle_noise_sigma
     for w in reversed(pc.internal_weights):
-        force = force * pc.angle_max + abs(w) * scale
-    if math.isfinite(pc.angle_max) and force > 1e100:
-        errs.append("plant.internal_weights: must keep the internal force within 1e100 N at any bend")
+        force = force * read + abs(w) * scale
+    if math.isfinite(read) and force > 1e100:
+        errs.append("plant.internal_weights: must keep the internal force within 1e100 N at any angle the sensor reads")
+    # the contact force s * (angle - position): s in series with the finger's k_f,
+    # over the largest bend past the position, as no run drives a duty past MAX_DUTY.
+    # share * s <= s, so only the last product can overflow, and to inf, which fails
+    k_f, reach = pc.finger_stiffness, min(pc.angle_max, pc.bend_gain * pc.k_duty * plant.MAX_DUTY)
+    for where, s, positions in _presses(cfg):
+        bend = reach - min(positions, default=reach)
+        if 0.0 < s < math.inf and 0.0 < k_f < math.inf:
+            if not math.isfinite(k_f + s) or k_f / (k_f + s) * s * bend > 1e100:
+                errs.append(f"{where}: must keep the contact force against plant.finger_stiffness within 1e100 N")
     return errs

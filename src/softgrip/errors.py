@@ -17,8 +17,8 @@ class OutOfRangeError(SoftgripError):
     """Angle outside the model's calibrated range plus margin (extrapolation risk)."""
 
 
-class NonFiniteError(SoftgripError):
-    """NaN or infinity fed to a controller."""
+class NonFiniteError(SoftgripError, ValueError):
+    """NaN or infinity fed to the contact detector or the controller."""
 
 
 class ConfigError(SoftgripError):

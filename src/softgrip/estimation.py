@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .calibration import PolynomialModel
-from .errors import OutOfRangeError
+from .errors import NonFiniteError, OutOfRangeError
 
 DEFAULT_CONTACT_THRESHOLD = 0.2  # N, above the worst-case free-space estimation error
 DEFAULT_EXTRAPOLATION_MARGIN = 0.1  # fraction of the calibrated angle span
@@ -82,5 +82,5 @@ class ContactDetector:
 
     def update(self, contact: float) -> bool:
         if not math.isfinite(contact):
-            raise ValueError("contact estimate must be finite")
+            raise NonFiniteError("contact estimate must be finite")
         return contact >= self.threshold

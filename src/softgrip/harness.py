@@ -81,7 +81,7 @@ from . import calibration as calib
 from .calibration import CSV_LINE_END, PolynomialModel, Sample, _horner
 from .config import Config
 from .control import Mode, PiController
-from .errors import OutOfRangeError, SoftgripError
+from .errors import SoftgripError
 from .estimation import ContactDetector, calibrated_range, contact_force, internal_force
 from .plant import MAX_DUTY, NOISE_BLOCK, FingerPlant, ObjectModel, contact_split, shake_test
 from .seeding import derive_seed
@@ -333,7 +333,7 @@ def _raised(check: Callable, *args) -> Exception:
     failing, so each error message keeps one source."""
     try:
         check(*args)
-    except (SoftgripError, ValueError) as exc:
+    except SoftgripError as exc:
         return exc
     raise RuntimeError(f"the batch and {check.__qualname__} disagree on {args}")
 
@@ -880,7 +880,7 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
     labelled by int index.  Each of its set-point lanes, which step in
     lockstep, takes a shallow copy of its finger's plant and so reads that
     plant's one ``GaussStream``.  A failing trial raises, the first in the
-    order given, as a trial-by-trial loop would.
+    order given, as a trial-by-trial loop would, its message naming the trial.
     """
     if not trials:
         return []
@@ -908,10 +908,8 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
     outcomes = []
     for k, (name, setpoint, trial) in enumerate(trials):
         exc = errors.get(k)
-        if isinstance(exc, OutOfRangeError):
-            raise OutOfRangeError(f"grasp of {name} at {setpoint} N, trial {trial}: {exc}") from exc
         if exc is not None:
-            raise exc
+            raise type(exc)(f"grasp of {name} at {setpoint} N, trial {trial}: {exc}") from exc
         own = slice(3 * k, 3 * k + 3)
         tail, peaks = tail_sums[own].tolist(), peak[own].tolist()
         grip = sum(tail[f] / (n - tail_from) for f in range(3))

@@ -215,6 +215,28 @@ def test_validate_unknown_key_exit_2(tmp_path, capsys):
         ),
         # a falling duty never presses, and overflows to -inf in the trace
         ({"hardness.ramp_rate": -1e308}, [], "hardness.ramp_rate"),
+    ]
+    + [
+        # a contact force past 1e100 N: the estimate overflowed to a traceback in
+        # the switch and grasp runs, the hardness slope read NaN, and a finger and
+        # an object whose stiffnesses sum past the float range never touched
+        (
+            {"plant.finger_stiffness": 1e307, "plant.bend_gain": 1e3, "switching.object.stiffness": 1e307},
+            [],
+            "switching.object.stiffness",
+        ),
+        (
+            {"plant.finger_stiffness": 1e307, "plant.bend_gain": 1e3, "grasp.objects.plastic_cup.stiffness": 1e307},
+            [],
+            "grasp.objects.plastic_cup.stiffness",
+        ),
+        ({"plant.finger_stiffness": 1e307, "hardness.stiff_stiffness": 1e308}, [], "hardness.stiff_stiffness"),
+        ({"plant.finger_stiffness": 1e308, "switching.object.stiffness": 1e308}, [], "switching.object.stiffness"),
+        # the overshoot fraction divides by the target: at 5e-324 it read Infinity
+        ({"switching.target": 5e-324}, [], "switching.target"),
+        # the calibration trace predicts the internal force at each noisy angle
+        # read, and the quartic overflowed to inf there
+        ({"plant.angle_noise_sigma": 1e100}, [], "plant.internal_weights"),
     ],
 )
 def test_run_rejects_bad_input_exit_2_names_field(tmp_path, capsys, extra, args, field):

@@ -128,7 +128,7 @@ def run(fn, *args) -> tuple:
     with counted_senses() as calls:
         try:
             result = fn(*args)
-        except (SoftgripError, ValueError) as exc:
+        except SoftgripError as exc:
             return None, (type(exc), str(exc)), calls[0]
     for trace in result if isinstance(result, list) else [result]:
         assert_floats(trace if isinstance(trace, Trace) else trace.trace)
@@ -254,7 +254,7 @@ ERRORS = {
             force_mode=False,
             seed=1,
         ),
-        ValueError,
+        NonFiniteError,
         "contact estimate must be finite",
     ),
     "control-contact": (

@@ -13,6 +13,8 @@ Covers:
 - each float leaf alone at +/-1e308, at tiny sizes: ``validate`` rejects it,
   or every command exits 0 or 1 without raising, and an exit-0 run writes
   only finite numbers
+- the same property over one to three leaves at a time, each drawn at an
+  edge of its bound or at a value where floats overflow (Hypothesis)
 """
 
 import dataclasses
@@ -22,6 +24,8 @@ import re
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softgrip.cli import main
 from softgrip.config import config_from_dict, config_to_dict, default_config, validate
@@ -184,32 +188,113 @@ def non_finite_outputs(out) -> list[str]:
     return [f.name for f in sorted(out.iterdir()) if f.name != "manifest.json" and token.search(f.read_text())]
 
 
+def command_failures(cfg, tmp_path, capsys, key: str) -> list[str]:
+    """Run each command on ``cfg`` through ``cli.main``: one line per command
+    that raised, exited other than 0, or 1 with one ``error:`` line, or exited
+    0 having written a non-finite number."""
+    out, failures = tmp_path / "out", []
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(cfg)))
+    for command in COMMANDS:
+        where = f"{key} {' '.join(command)}"
+        try:
+            rc = main(command + ["--config", str(config_path), "--out", str(out)])
+        except Exception as exc:  # each raising command is reported, and the sweep goes on
+            failures.append(f"{where}: raised {type(exc).__name__}: {exc}")
+            continue
+        err = capsys.readouterr().err
+        if rc not in (0, 1) or (rc == 1 and not re.fullmatch(r"error: [^\n]*\n", err)):
+            failures.append(f"{where}: exit {rc}, stderr {err!r}")
+        elif rc == 0 and (bad := non_finite_outputs(out)):
+            failures.append(f"{where}: non-finite numbers in {bad}")
+        shutil.rmtree(out, ignore_errors=True)
+    return failures
+
+
 def test_extreme_float_leaf_is_rejected_or_runs_cleanly(tmp_path, capsys):
     """Each float leaf alone at +/-1e308: ``validate`` rejects it, or each
     command exits 0, or 1 with one ``error:`` line, without raising, and
     writes only finite numbers when it exits 0.  A rejection need not name
     the leaf: plant.angle_max feeds the internal-force rule, which names
     plant.internal_weights."""
-    out, failures = tmp_path / "out", []
+    failures = []
     assert validate(config_from_dict(TINY)) == []
     for path in LEAVES:
         for value in (1e308, -1e308):
             cfg = with_value(path, value, config_from_dict(TINY))
-            if validate(cfg):
-                continue
-            config_path = tmp_path / "config.json"
-            config_path.write_text(json.dumps(config_to_dict(cfg)))
-            for command in COMMANDS:
-                key = f"{path}={value} {' '.join(command)}"
-                try:
-                    rc = main(command + ["--config", str(config_path), "--out", str(out)])
-                except Exception as exc:  # each raising command is reported, and the sweep goes on
-                    failures.append(f"{key}: raised {type(exc).__name__}: {exc}")
-                    continue
-                err = capsys.readouterr().err
-                if rc not in (0, 1) or (rc == 1 and not re.fullmatch(r"error: [^\n]*\n", err)):
-                    failures.append(f"{key}: exit {rc}, stderr {err!r}")
-                elif rc == 0 and (bad := non_finite_outputs(out)):
-                    failures.append(f"{key}: non-finite numbers in {bad}")
-                shutil.rmtree(out, ignore_errors=True)
+            if not validate(cfg):
+                failures += command_failures(cfg, tmp_path, capsys, f"{path}={value}")
     assert not failures, "\n".join(failures)
+
+
+# values at which floats overflow, underflow or change sign, and the largest
+SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-154, -1e-154, 1e154, -1e154, 1e307, 1e308, -1e308)
+
+
+def bound_edges(path: str) -> list[float]:
+    """The floats at and on either side of each edge of the leaf's ``_Bound``,
+    found by bisecting each gap between ``SPECIALS`` and the leaf's ``TINY``
+    value where the bound flips.  A span's bound counts control ticks, and
+    only its lower edge is drawn: no size goes past ``TINY`` (ROADMAP item 10)."""
+    cfg = config_from_dict(TINY)
+    *parents, leaf = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part] if isinstance(node, dict) else getattr(node, part)
+    bound = next(f for f in dataclasses.fields(node) if f.name == leaf).metadata.get("bound")
+    if bound is None:
+        return []
+    tiny = getattr(node, leaf)
+
+    def admits(value):
+        return bound.admits(value, cfg.controller.period)
+
+    grid, edges = sorted({*SPECIALS, tiny}), []
+    for lo, hi in zip(grid, grid[1:]):
+        if admits(lo) == admits(hi) or (bound.in_ticks and lo >= tiny):
+            continue
+        while lo < (mid := lo / 2 + hi / 2) < hi:
+            lo, hi = (mid, hi) if admits(mid) == admits(lo) else (lo, mid)
+        edges += [math.nextafter(lo, -math.inf), lo, hi, math.nextafter(hi, math.inf)]
+    return edges
+
+
+LEAF_VALUES = {path: [*SPECIALS, *bound_edges(path)] for path in LEAVES}  # a set would merge -0.0 into 0.0
+
+
+def test_bound_edges_are_found():
+    assert bound_edges("controller.kp") == []  # no bound: any finite value
+    alpha = bound_edges("plant.filter_alpha")  # (0, 1]
+    assert alpha[:4] == [-5e-324, 0.0, 5e-324, 1e-323] and alpha[5] == 1.0
+    assert 1e-100 in bound_edges("switching.target") and 1e100 in bound_edges("plant.k_duty")
+    # a span's lower edge only, in control ticks: 0.5 of one, or 1.5 for a step segment
+    assert 0.025 in bound_edges("step.segment_s") and max(bound_edges("grasp.duration_s")) < 0.01
+
+
+@st.composite
+def leaf_settings(draw) -> list:
+    paths = draw(st.lists(st.sampled_from(LEAVES), min_size=1, max_size=3, unique=True))
+    return [(path, draw(st.sampled_from(LEAF_VALUES[path]))) for path in paths]
+
+
+def test_config_fuzz_is_rejected_or_runs_cleanly(request, tmp_path, capsys):
+    """One to three float leaves over ``TINY``, each at an edge of its bound
+    or a value where floats overflow: ``validate`` names a field, or each
+    command exits 0, or 1 with one ``error:`` line, without raising, and
+    writes only finite numbers when it exits 0.  Tier-1 draws a fixed set of
+    examples; ``--hypothesis-seed`` draws others."""
+
+    @settings(max_examples=60, deadline=None, derandomize=request.config.getoption("--hypothesis-seed") is None)
+    @given(leaves=leaf_settings())
+    def rejected_or_clean(leaves):
+        cfg = config_from_dict(TINY)
+        for path, value in leaves:
+            with_value(path, value, cfg)
+        problems = validate(cfg)
+        if problems:
+            assert all(re.match(r"[a-z_.\[\]0-9]+: ", p) for p in problems), problems
+            return
+        failures = command_failures(cfg, tmp_path, capsys, repr(leaves))
+        assert not failures, "\n".join(failures)
+
+    rejected_or_clean()

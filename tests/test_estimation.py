@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from softgrip.calibration import PolynomialModel, Sample, fit_polynomial
 from softgrip.config import default_config
-from softgrip.errors import OutOfRangeError
+from softgrip.errors import NonFiniteError, OutOfRangeError
 from softgrip.estimation import (
     ContactDetector,
     contact_force,
@@ -148,7 +148,7 @@ def test_detector_is_the_threshold_whatever_came_before(threshold, contacts, bad
     det = ContactDetector(threshold=threshold)
     for x in contacts:
         assert det.update(x) is (x >= threshold)
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteError):
         det.update(bad)
 
 
@@ -156,8 +156,9 @@ def test_detector_validation():
     with pytest.raises(ValueError):
         ContactDetector(threshold=0.0)
     det = ContactDetector()
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteError, match="^contact estimate must be finite$") as info:
         det.update(float("nan"))
+    assert isinstance(info.value, ValueError)  # as the detector raised before it joined the family
 
 
 def _free_space_run(seed: int, duration_s: float = 10.0):

@@ -163,7 +163,7 @@ def run(probe, *args) -> tuple:
     with counted_senses() as calls:
         try:
             result = probe(*args)
-        except (SoftgripError, ValueError) as exc:
+        except SoftgripError as exc:
             return None, (type(exc), str(exc)), calls[0]
     *numbers, modes = vars(result.trace).values()
     assert all(type(v) is float for column in numbers for v in column)
