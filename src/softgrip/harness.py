@@ -12,7 +12,7 @@ Three tick kernels step the experiments, and give the same bits:
   the target pressures in one numpy product, the pressure recurrence in
   floats, the bend and the contact in numpy.  Its callers then read the
   sensors through ``_senses``, one ``FingerPlant.sense`` per tick, in tick
-  order, as one ``map`` per noise block chained together, with no
+  order, as one ``map`` per 512 ticks chained together, with no
   generator frame per tick.  The calibration ramp (3 fingers of 12,390
   ticks at the default config) and the hardness probe (2 runs of 480) use
   it.
@@ -41,7 +41,11 @@ limit and the calibrated range come from ``plant`` and ``estimation``.  On
 every path the kernel holds the true state, and each finger reads its
 sensors on it through its own ``FingerPlant.sense(angle, force)``, which
 adds the finger's noise; the grasp lanes that share a plant seed read one
-noise stream.
+noise stream.  Every kernel knows its run's senses before the first, so
+``_build_plant`` states them to the plant's stream, which draws its noise in
+blocks that cover the run and no more (``GaussStream``): the calibration
+ramp's 24,780 values per finger as six blocks of 4,096 and one of 204, each
+estimation cell's in one block, and each grasp stream's 1,200 in one.
 
 A trace holds its numbers as ``array('d')`` columns (``Trace``), a quarter
 of the memory of lists of floats, built from the kernels' numpy arrays as
@@ -222,15 +226,20 @@ def _segment(t: list, t_start: float, t_end: float) -> slice:
     return slice(start, bisect_left(t, t_end, start))
 
 
-def _build_plant(cfg: Config, finger: int, seed: int) -> FingerPlant:
+def _build_plant(cfg: Config, finger: int, seed: int, senses: int = 0) -> FingerPlant:
     """The finger's plant: ``cfg.plant``'s mechanical fields by name, and
     ``internal_weights`` scaled by the finger's ``finger_scales`` entry as
-    its internal-force model."""
+    its internal-force model.  ``senses`` is the count of readings its run
+    will take, stated to its noise stream (``GaussStream.need``: one value
+    per reading and noisy channel), so the stream draws its blocks to fit
+    the run; 0 states no run."""
     mechanics = dict(vars(cfg.plant))
     scales = mechanics.pop("finger_scales")
     weights = tuple(float(w) * scales[finger % len(scales)] for w in mechanics.pop("internal_weights"))
     model = PolynomialModel(degree=len(weights) - 1, weights=weights)
-    return FingerPlant(model, seed=seed, **mechanics)
+    plant_obj = FingerPlant(model, seed=seed, **mechanics)
+    plant_obj.noise.need = senses * ((plant_obj.noise_sigma > 0.0) + (plant_obj.angle_noise_sigma > 0.0))
+    return plant_obj
 
 
 def _build_controller(cfg: Config) -> PiController:
@@ -319,12 +328,12 @@ def _senses(plant_obj: FingerPlant, angles: np.ndarray, contact: np.ndarray):
 
 # Lanes per batch.  Wider batches spread each numpy call over more lanes, but
 # every lane keeps its FingerPlant (sensor filter, and a noise stream of
-# about 7 kB unless it shares one) until its batch ends, so the grasp sweep
-# runs in batches of at most this many and memory stays flat as it grows.  The
-# default grasp sweep (540 lanes) runs as one batch: in-process it took 0.47,
-# 0.31-0.34, 0.31-0.36 and 0.26-0.29 s in batches of 90, 180, 270 and 540
-# lanes (2-CPU VM, Python 3.11, numpy 2.4; medians of 5 alternating rounds,
-# twice).
+# about 12 kB at the default 600 ticks unless it shares one) until its batch
+# ends, so the grasp sweep runs in batches of at most this many and memory
+# stays flat as it grows.  The default grasp sweep (540 lanes) runs as one
+# batch: in-process it took 0.47, 0.31-0.34, 0.31-0.36 and 0.26-0.29 s in
+# batches of 90, 180, 270 and 540 lanes (2-CPU VM, Python 3.11, numpy 2.4;
+# medians of 5 alternating rounds, twice).
 BATCH_LANES = 540
 
 
@@ -613,7 +622,6 @@ def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = Fal
     """
     cal = cfg.calibration
     dt = cfg.controller.period
-    plant_obj = _build_plant(cfg, finger, derive_seed(seed, "calibration", finger, "plant"))
     level_rng = random.Random(derive_seed(seed, "calibration", finger, "levels"))
     peak_duty = min(MAX_DUTY, cal.peak_pressure / cfg.plant.k_duty)
     base_levels = [peak_duty * k / cal.levels for k in range(1, cal.levels + 1)]
@@ -633,6 +641,7 @@ def calibrate_finger(cfg: Config, finger: int, seed: int, with_trace: bool = Fal
     # per tick, True where its reading is a sample: each dwell's last tick, alike in every cycle
     held = [False] * (hold_ticks - 1) + [True]
     ends = (held * (2 * cal.levels - 1) + [False] * (rest_ticks - 1) + [True]) * cal.cycles
+    plant_obj = _build_plant(cfg, finger, derive_seed(seed, "calibration", finger, "plant"), len(duties))
     pressures, angles, contact = _open_loop(plant_obj, duties, dt)
     readings = _senses(plant_obj, angles, contact)
     if not with_trace:
@@ -755,7 +764,7 @@ def _estimation_row(cfg: Config, model: PolynomialModel, seed: int, position: fl
     sensors tick by tick, and the first reading out of the model's range
     raises ``contact_force``'s error."""
     angles, contacts, count, true_sum, flag = press
-    plant_obj = _build_plant(cfg, 0, derive_seed(seed, "estimation", position, "plant"))
+    plant_obj = _build_plant(cfg, 0, derive_seed(seed, "estimation", position, "plant"), len(angles))
     margin = cfg.supervisor.extrapolation_margin
     lo, hi = calibrated_range(model, margin)
     start, est_sum = len(angles) - count, 0.0
@@ -797,7 +806,7 @@ def run_step_response(cfg: Config, seed: int | None = None, models=None) -> list
     targets = [sc.first_target] * k + [sc.second_target] * (n - k)
     results = []
     for s in range(sc.n_seeds):
-        plant_obj = _build_plant(cfg, 0, derive_seed(master, "step", s))
+        plant_obj = _build_plant(cfg, 0, derive_seed(master, "step", s), n)
         duty = sc.warm_start_duty
         if duty > 0.0:
             plant_obj.pressure = cfg.plant.k_duty * duty
@@ -830,7 +839,7 @@ def run_switching_experiment(cfg: Config, seed: int | None = None, models=None) 
     targets = [sw.target] * int(round(sw.duration_s / cfg.controller.period))
     results = []
     for s in range(sw.n_seeds):
-        plant_obj = _build_plant(cfg, 0, derive_seed(master, "switching", s))
+        plant_obj = _build_plant(cfg, 0, derive_seed(master, "switching", s), len(targets))
         trace = _closed_loop(cfg, plant_obj, model, obj, targets, 0.0, force_mode=False)
         # the switch tick's k * dt, read off its row (the first in force control);
         # a run that never switches is measured whole
@@ -885,6 +894,8 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
     if not trials:
         return []
     objs = {name: oc.build() for name, oc in cfg.grasp.objects.items()}
+    dt = cfg.controller.period
+    n = int(round(cfg.grasp.duration_s / dt))
     setups = {}  # (object, trial) -> (deform threshold, break threshold, shake seed, plants)
     for name, _, trial in trials:
         if (name, trial) in setups:
@@ -895,13 +906,11 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
             trial_rng.gauss(mean, spread) if math.isfinite(mean) else math.inf
             for mean, spread in ((obj.deform_threshold, obj.deform_spread), (obj.break_threshold, obj.break_spread))
         )
-        plants = [_build_plant(cfg, f, derive_seed(master, *label, "plant", f)) for f in range(3)]
+        plants = [_build_plant(cfg, f, derive_seed(master, *label, "plant", f), n) for f in range(3)]
         setups[name, trial] = deform_thr, break_thr, derive_seed(master, *label, "shake"), plants
     targets = [t for _, setpoint, _ in trials for t in (setpoint / 2.0, setpoint / 2.0, setpoint)]
     plants = [copy.copy(p) for name, _, trial in trials for p in setups[name, trial][3]]
     lane_objs = [objs[name] for name, _, _ in trials for _ in range(3)]
-    dt = cfg.controller.period
-    n = int(round(cfg.grasp.duration_s / dt))
     tail_from = max(0, n - int(round(cfg.grasp.settle_window_s / dt)))
     lane_models = list(models) * len(trials)
     peak, tail_sums, errors = _grasp_lanes(cfg, plants, lane_models, lane_objs, targets, n, tail_from)
@@ -996,9 +1005,9 @@ def probe_hardness(cfg: Config, stiffness: float | None, seed: int, models) -> H
     hc = cfg.hardness
     dt = cfg.controller.period
     obj = None if stiffness is None else ObjectModel(hc.position_angle, stiffness)
-    plant_obj = _build_plant(cfg, 0, derive_seed(seed, "hardness", stiffness or "free"))
-    model, margin = models[0], cfg.supervisor.extrapolation_margin
     n = int(round(hc.duration_s / dt))
+    plant_obj = _build_plant(cfg, 0, derive_seed(seed, "hardness", stiffness or "free"), n)
+    model, margin = models[0], cfg.supervisor.extrapolation_margin
     duties, duty = array("d", (0.0,)) * n, 0.0  # allocated whole, so a span too long fails at once
     for i in range(n):
         duty = min(hc.max_duty, duty + hc.ramp_rate * dt)

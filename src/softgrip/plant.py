@@ -12,7 +12,9 @@ All randomness comes from a per-plant ``random.Random`` seeded at
 construction, so identical seed + command sequence reproduces traces
 bit-exactly.  The sensor noise is drawn from it in blocks (``GaussStream``)
 whose values are, bit for bit, those ``rng.gauss`` calls in sense order
-would give.
+would give, wherever the blocks are cut: a caller that knows how many
+values its run reads states it, and the blocks then cover that run and no
+more.
 """
 
 from __future__ import annotations
@@ -39,9 +41,14 @@ DEFAULT_ANGLE_NOISE_SIGMA = 0.05  # deg
 DEFAULT_FILTER_ALPHA = 0.95
 MAX_DUTY = 100.0  # duty-%, the PWM ceiling
 
-# Gaussian noise values per GaussStream block (4 kB): 256 senses with both
-# noise channels on.
+# Gaussian noise values per GaussStream block when no run is stated (4 kB):
+# 256 senses with both noise channels on.
 NOISE_BLOCK = 512
+# The largest block a stated run draws at once (32 kB).  Each block pays a
+# fixed cost, so a value cost 315 ns in a block of 512, 273 ns at 1,536 and
+# 253 ns at 4,096 (2-CPU VM, Python 3.11, numpy 2.4; medians of 300 draws),
+# and larger blocks would buy little for their memory.
+MAX_NOISE_BLOCK = 4096
 
 # Ground-truth internal-force quartic (N vs deg), monotone over the working
 # range with the quartic term dominant at large angles.
@@ -99,6 +106,16 @@ class GaussStream:
     IEEE-exact in numpy; log, cos and sin are the libm calls ``math`` makes,
     since numpy's own differ from libm in the last bit on some inputs.
 
+    A block of n values is the next n / 2 pairs, so the next 2n words,
+    wherever the blocks are cut, as long as n is even: an odd n would pair
+    one block's last cosine with the next block's uniforms, so ``_draw``
+    refuses it.  ``need`` is the count of values the stream's run has still
+    to draw, as its caller stated it (the harness, which knows each run's
+    senses before the first): each block is then that need, rounded up to
+    an even count, at most ``MAX_NOISE_BLOCK``, so a run draws at most one
+    value it does not read.  With no stated run, or past it, each block is
+    ``NOISE_BLOCK`` values.
+
     The stream keeps only its current block.  Each reader (a plant) holds
     the block it reads and its own place in it, so plants that share a
     stream, stepping in lockstep on equal seeds, each read every value in
@@ -106,27 +123,37 @@ class GaussStream:
     behind gets an error, never another place's values.
     """
 
-    __slots__ = ("rng", "block", "start")
+    __slots__ = ("rng", "block", "start", "need")
 
     def __init__(self, rng: random.Random):
         self.rng = rng
         self.block = array("d")
         self.start = 0  # stream index of block[0]
+        self.need = 0  # values the stated run has still to draw; 0 when none is stated
 
     def block_at(self, index: int) -> tuple:
         """(block, start) of the block holding stream value ``index``, drawn
         now if ``index`` is the first value past the current block."""
         end = self.start + len(self.block)
         if index == end:
-            self._draw()
+            self._draw(self._next_length())
         elif not self.start <= index < end:
             raise RuntimeError(
                 f"noise value {index} read out of order: the current block is {self.start}..{end - 1}"
             )
         return self.block, self.start
 
-    def _draw(self) -> None:
-        n = NOISE_BLOCK
+    def _next_length(self) -> int:
+        """The next block's length: the stated need, rounded up to even and
+        capped, or ``NOISE_BLOCK`` once no need is left."""
+        need = self.need
+        return min(MAX_NOISE_BLOCK, need + (need & 1)) if need > 0 else NOISE_BLOCK
+
+    def _draw(self, n: int) -> None:
+        """Move on to the next block, of ``n`` values."""
+        if n < 2 or n % 2:
+            raise ValueError(f"a noise block holds a positive even count of values, not {n}")
+        self.need = max(0, self.need - n)
         m = n // 2
         words = np.frombuffer(self.rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
         u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
@@ -149,7 +176,7 @@ class FingerPlant:
     __slots__ = (
         "internal_model", "tau_p", "k_duty", "bend_gain", "angle_max", "finger_stiffness",
         "noise_sigma", "angle_noise_sigma", "filter_alpha", "noise",
-        "_block", "_start", "_k", "pressure", "angle", "contact_force", "_filter_state",
+        "_block", "_start", "_size", "_k", "pressure", "angle", "contact_force", "_filter_state",
     )
 
     def __init__(
@@ -181,10 +208,10 @@ class FingerPlant:
         self.angle_noise_sigma = angle_noise_sigma
         self.filter_alpha = filter_alpha
         self.noise = GaussStream(random.Random(seed))  # drawn in sense order
-        # The noise block this plant reads, its index in the stream, and this
-        # plant's next value in it: at first, past the end of a block before
-        # the stream's first.
-        self._block, self._start, self._k = array("d"), -NOISE_BLOCK, NOISE_BLOCK
+        # The noise block this plant reads, its index in the stream, its
+        # length, and this plant's next value in it: at first, the end of an
+        # empty block at the stream's start.
+        self._block, self._start, self._size, self._k = array("d"), 0, 0, 0
         self.pressure = 0.0  # kPa
         self.angle = 0.0  # deg
         self.contact_force = 0.0  # N, true force against the object
@@ -237,7 +264,7 @@ class FingerPlant:
         values, k = self._block, self._k
         sigma = self.noise_sigma
         if sigma > 0.0:
-            if k == NOISE_BLOCK:
+            if k == self._size:
                 values, k = self._next_block()
             # rng.gauss adds 0.0 first, which turns -0.0 into 0.0; the floor
             # below reads either sum as 0.0, so the force skips it
@@ -248,7 +275,7 @@ class FingerPlant:
         self._filter_state = raw = raw if state is None else state + self.filter_alpha * (raw - state)
         sigma = self.angle_noise_sigma
         if sigma > 0.0:
-            if k == NOISE_BLOCK:
+            if k == self._size:
                 values, k = self._next_block()
             angle += 0.0 + values[k] * sigma
             k += 1
@@ -257,8 +284,9 @@ class FingerPlant:
 
     def _next_block(self) -> tuple:
         """Move on to the stream's block after this plant's: (block, 0)."""
-        self._block, self._start = self.noise.block_at(self._start + NOISE_BLOCK)
-        return self._block, 0
+        block, self._start = self.noise.block_at(self._start + self._size)
+        self._block, self._size = block, len(block)
+        return block, 0
 
 
 def shake_test(total_grip_force: float, obj: ObjectModel, rng: random.Random) -> bool:

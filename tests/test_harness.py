@@ -21,6 +21,8 @@ Covers:
 - the tick kernel: calibration with and without a trace, early exit, and
   one ``contact_force`` per hardness-probe tick, looked up where the
   benchmark's tracer wraps it
+- every noise stream of ``calibrate`` and the five ``run`` experiments draws
+  exactly the values its readers take, rounded up to an even count
 - over generated small configs, every numeric column of the calibration,
   step, switching and hardness traces is an ``array('d')``, every number read
   from it a Python float (a numpy scalar's repr would reach the CSV), and
@@ -32,6 +34,7 @@ Covers:
 import concurrent.futures
 import copy
 import csv
+import json
 import math
 from array import array
 from unittest import mock
@@ -41,7 +44,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softgrip import harness
-from softgrip.config import config_from_dict, default_config, validate
+from softgrip.cli import main
+from softgrip.config import config_from_dict, config_to_dict, default_config, validate
 from softgrip.harness import (
     Trace,
     compute_step_metrics,
@@ -54,7 +58,7 @@ from softgrip.harness import (
     run_step_response,
     run_switching_experiment,
 )
-from softgrip.plant import FingerPlant
+from softgrip.plant import MAX_NOISE_BLOCK, FingerPlant, GaussStream
 
 from reference import Lane, hexed, simulate
 
@@ -541,3 +545,60 @@ def test_step_segment_slice_equals_row_scan(cfg, models):
                     continue
                 got = compute_step_metrics(trace, target, t_start, t_end)
                 assert repr(got) == repr(expected)
+
+
+# every command at a small size, its runs' noise values a count that no
+# 512-value block divides
+SMALL_RUNS = {
+    "calibration": {"cycles": 1, "levels": 8, "hold_s": 0.05, "rest_s": 0.5},
+    "step": {"n_seeds": 2, "segment_s": 20.0},
+    "switching": {"n_seeds": 2, "duration_s": 1.0},
+    "estimation": {"n_seeds": 1, "positions": [15.0, 25.0], "ramp_rate": 60.0, "settle_s": 0.05,
+                   "window_s": 0.05, "timeout_s": 3.0},
+    "grasp": {"setpoints": [1.0, 2.0], "n_trials": 2, "duration_s": 1.0, "settle_window_s": 0.1},
+    "hardness": {"duration_s": 4.0, "ramp_rate": 30.0},
+}
+
+
+@pytest.mark.parametrize("sigmas", [(0.02, 0.05), (0.02, 0.0), (0.0, 0.05), (0.0, 0.0)])
+def test_each_kernel_draws_the_noise_it_reads(sigmas, tmp_path, monkeypatch):
+    # per stream: its readers' most senses x its noisy channels, rounded up to
+    # even (Box-Muller pairs stay whole); the grasp lanes of one plant seed
+    # share a stream and read it in lockstep
+    noise_sigma, angle_noise_sigma = sigmas
+    spec = {**SMALL_RUNS, "plant": {"noise_sigma": noise_sigma, "angle_noise_sigma": angle_noise_sigma}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_to_dict(config_from_dict(spec))))
+    drawn, senses = {}, {}  # stream -> values drawn; plant -> its senses
+
+    class CountedStream(GaussStream):
+        __slots__ = ()
+
+        def __init__(self, rng):
+            drawn[self] = 0
+            super().__init__(rng)
+
+        def _draw(self, *args):
+            super()._draw(*args)
+            drawn[self] += len(self.block)
+
+    real_sense = FingerPlant.sense
+
+    def sense(plant, angle, force):
+        senses[plant] = senses.get(plant, 0) + 1
+        return real_sense(plant, angle, force)
+
+    monkeypatch.setattr("softgrip.plant.GaussStream", CountedStream)
+    monkeypatch.setattr(FingerPlant, "sense", sense)
+    for command in (["calibrate"], *(["run", e] for e in ("step", "switch", "grasp", "hardness", "estimate"))):
+        assert main([*command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    channels = (noise_sigma > 0.0) + (angle_noise_sigma > 0.0)
+    read = dict.fromkeys(drawn, 0)  # stream -> the most senses of one of its readers
+    for plant, count in senses.items():
+        read[plant.noise] = max(read[plant.noise], count)
+    # 3 calibrated fingers per command, 2 step and 2 switch runs, 18 grasp
+    # plant seeds (3 objects x 2 trials x 3 fingers), 2 hardness probes, and 2
+    # estimation cells besides their 2 presses, which step but never sense
+    assert len(read) == 6 * 3 + 2 + 2 + 18 + 2 + 2 + 2
+    assert 2 * max(read.values()) > MAX_NOISE_BLOCK  # with both channels on, a step run draws two blocks
+    assert {id(s): drawn[s] for s in drawn} == {id(s): -(-n * channels // 2) * 2 for s, n in read.items()}

@@ -5,7 +5,9 @@ Covers:
 - the contact compliance split: continuity at onset, stiffness ordering,
   pinned angle against rigid objects
 - sensing: superposition with noise off, filter warm-up exactness, the FSR
-  zero floor, and the block-drawn noise against ``rng.gauss`` bit for bit
+  zero floor, and the block-drawn noise against ``rng.gauss`` bit for bit,
+  wherever the blocks are cut and past a stated run, for one reader or two
+  in lockstep; a block that would split a Box-Muller pair is refused
 - determinism (bit-identical traces for equal seeds) and the explicit-Euler
   dt precondition
 - shake_test against the Normal-CDF oracle
@@ -27,6 +29,7 @@ from softgrip.config import default_config
 from softgrip.harness import _build_plant
 from softgrip.plant import (
     DEFAULT_INTERNAL_WEIGHTS,
+    MAX_NOISE_BLOCK,
     NOISE_BLOCK,
     FingerPlant,
     GaussStream,
@@ -245,6 +248,64 @@ def test_gauss_stream_blocks_equal_rng_gauss(seed):
         assert start == index
         assert [v.hex() for v in block] == [rng.gauss(0.0, 1.0).hex() for _ in range(NOISE_BLOCK)]
     assert stream.rng.getstate() == rng.getstate()  # the same words consumed
+
+
+class CutStream(GaussStream):
+    """A noise stream cut into the given block lengths first, then sized as
+    any stream is, by its stated need."""
+
+    __slots__ = ("cuts",)
+
+    def __init__(self, rng, cuts):
+        super().__init__(rng)
+        self.cuts = list(cuts)
+
+    def _next_length(self):
+        return self.cuts.pop(0) if self.cuts else super()._next_length()
+
+
+# even block lengths up to the largest, short ones often, so a run crosses cuts
+cut_lengths = st.one_of(st.integers(1, 8), st.integers(1, MAX_NOISE_BLOCK // 2)).map(lambda half: 2 * half)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    noise_sigma=st.sampled_from([0.0, 0.02]),
+    angle_noise_sigma=st.sampled_from([0.0, 0.7]),
+    cuts=st.lists(cut_lengths, max_size=6),
+    stated=st.integers(0, 700),
+    past=st.integers(0, 600),
+    readers=st.integers(1, 2),
+)
+@example(seed=0, noise_sigma=0.02, angle_noise_sigma=0.0, cuts=[], stated=513, past=0, readers=1)
+@example(seed=3, noise_sigma=0.0, angle_noise_sigma=0.7, cuts=[2, 2], stated=5, past=600, readers=2)
+def test_cut_blocks_read_as_rng_gauss(seed, noise_sigma, angle_noise_sigma, cuts, stated, past, readers):
+    # ``stated`` senses are stated to the stream, ``past`` more are read
+    # beyond them; two readers share one stream, as the grasp lanes do
+    plants = [make_plant(seed=seed, noise_sigma=noise_sigma, angle_noise_sigma=angle_noise_sigma)
+              for _ in range(readers)]
+    stream = CutStream(random.Random(seed), cuts)
+    values = stated * ((noise_sigma > 0.0) + (angle_noise_sigma > 0.0))
+    stream.need = values
+    for plant in plants:
+        plant.noise = stream
+    ref = GaussSensor(plants[0], seed)
+    for i in range(stated + past):
+        angle, force = 12.5 + i % 7, 0.4 + i % 3
+        expected = ref.sense(angle, force)
+        for plant in plants:
+            assert tuple(map(float.hex, plant.sense(angle, force))) == expected
+    if not cuts and not past:  # the stated run drew what it read, and a twin if odd
+        assert stream.start + len(stream.block) == values + values % 2
+
+
+@pytest.mark.parametrize("n", [-2, 0, 1, 3, NOISE_BLOCK + 1])
+def test_gauss_stream_refuses_a_block_that_splits_a_pair(n):
+    stream = GaussStream(random.Random(0))
+    with pytest.raises(ValueError, match="even"):
+        stream._draw(n)
+    assert (stream.start, len(stream.block), stream.rng.getstate()) == (0, 0, random.Random(0).getstate())
 
 
 def test_determinism_bit_identical_traces():
