@@ -40,12 +40,14 @@ kernels inline only per-tick arithmetic: the contact split, the step-size
 limit and the calibrated range come from ``plant`` and ``estimation``.  On
 every path the kernel holds the true state, and each finger reads its
 sensors on it through its own ``FingerPlant.sense(angle, force)``, which
-adds the finger's noise; the grasp lanes that share a plant seed read one
-noise stream.  Every kernel knows its run's senses before the first, so
-``_build_plant`` states them to the plant's stream, which draws its noise in
-blocks that cover the run and no more (``GaussStream``): the calibration
-ramp's 24,780 values per finger as six blocks of 4,096 and one of 204, each
-estimation cell's in one block, and each grasp stream's 1,200 in one.
+adds the finger's noise.  The grasp lanes that share a plant seed are
+``copy.copy``s of one plant, and read its one noise stream through copies of
+its iterator, each at its own pace.  Every kernel knows its run's senses
+before the first, so ``_build_plant`` states them to the plant's stream,
+which draws its noise in blocks that cover the run and no more
+(``GaussStream``): the calibration ramp's 24,780 values per finger as six
+blocks of 4,096 and one of 204, each estimation cell's in one block, and
+each grasp stream's 1,200 in one.
 
 A trace holds its numbers as ``array('d')`` columns (``Trace``), a quarter
 of the memory of lists of floats, built from the kernels' numpy arrays as
@@ -57,10 +59,10 @@ at a time (``FingerPlant.step``, its ``sense`` of the plant's own state,
 ``contact_force``, and a policy closure that can drive a real
 ``Supervisor`` and ``PiController``).  Each path wins over it where it is
 used.  On a 2-CPU VM (Python 3.11, numpy 2.4; in-process medians, the range
-of two sessions) the default grasp sweep took 0.26-0.29 s batched against
-1.9-2.7 s on the reference, the estimation sweep 0.09-0.10 s against 0.35-0.46 s, the step
-response 0.09-0.12 s on ``_closed_loop`` against 0.28-0.34 s, and the
-switching experiment 0.032 s against 0.074-0.091 s.
+of two sessions) the default grasp sweep took 0.19-0.20 s batched against
+1.4-1.6 s on the reference, the estimation sweep 0.06 s against 0.25-0.30 s,
+the step response 0.06 s on ``_closed_loop`` against 0.25-0.28 s, and the
+switching experiment 0.016-0.020 s against 0.07 s.
 ``tests/test_open_loop*.py``, ``tests/test_closed_loop.py``
 and ``tests/test_batch.py`` check the paths against the reference, and the
 committed ``BENCH_*.json`` files hold the benchmark's before/after records.
@@ -327,13 +329,14 @@ def _senses(plant_obj: FingerPlant, angles: np.ndarray, contact: np.ndarray):
 # The batched tick kernel
 
 # Lanes per batch.  Wider batches spread each numpy call over more lanes, but
-# every lane keeps its FingerPlant (sensor filter, and a noise stream of
-# about 12 kB at the default 600 ticks unless it shares one) until its batch
-# ends, so the grasp sweep runs in batches of at most this many and memory
-# stays flat as it grows.  The default grasp sweep (540 lanes) runs as one
-# batch: in-process it took 0.47, 0.31-0.34, 0.31-0.36 and 0.26-0.29 s in
-# batches of 90, 180, 270 and 540 lanes (2-CPU VM, Python 3.11, numpy 2.4;
-# medians of 5 alternating rounds, twice).
+# every lane keeps its FingerPlant (sensor filter and noise iterator) until
+# its batch ends, and each plant seed's stream its block of about 10 kB at the
+# default 600 ticks; a lane that fails keeps buffered every value its seed's
+# other lanes read after it.  So the grasp sweep runs in batches of at most
+# this many and memory stays flat as it grows.  The default grasp sweep (540
+# lanes) runs as one batch: in-process it took 0.35, 0.25-0.27, 0.23-0.25 and
+# 0.19-0.20 s in batches of 90, 180, 270 and 540 lanes (2-CPU VM, Python
+# 3.11, numpy 2.4; medians of 5 rounds, two sessions).
 BATCH_LANES = 540
 
 
@@ -884,19 +887,22 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
     (master, object, trial) -- deliberately not by set-point, so sweeps share
     draws across force levels (common random numbers).  So do the shake
     test's seed and the plants' noise seeds, so the batch sets up each
-    (object, trial) once, in one pass, as one record: its deform and break
-    thresholds, its shake seed and its three unread plants, trials being
-    labelled by int index.  Each of its set-point lanes, which step in
-    lockstep, takes a shallow copy of its finger's plant and so reads that
-    plant's one ``GaussStream``.  A failing trial raises, the first in the
-    order given, as a trial-by-trial loop would, its message naming the trial.
+    (object, trial) once, in one pass: its deform and break thresholds, its
+    shake seed and its three unread plants, trials being labelled by int
+    index.  Each of its set-point lanes, which step in lockstep, takes a
+    ``copy.copy`` of its finger's plant and so reads that plant's one
+    ``GaussStream``; the unread plants are dropped once copied, as each would
+    keep every value its copies read.  A failing trial raises, the first in
+    the order given, as a trial-by-trial loop would, its message naming the
+    trial.
     """
     if not trials:
         return []
     objs = {name: oc.build() for name, oc in cfg.grasp.objects.items()}
     dt = cfg.controller.period
     n = int(round(cfg.grasp.duration_s / dt))
-    setups = {}  # (object, trial) -> (deform threshold, break threshold, shake seed, plants)
+    setups = {}  # (object, trial) -> (deform threshold, break threshold, shake seed)
+    unread = {}  # (object, trial) -> its three plants
     for name, _, trial in trials:
         if (name, trial) in setups:
             continue
@@ -906,10 +912,11 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
             trial_rng.gauss(mean, spread) if math.isfinite(mean) else math.inf
             for mean, spread in ((obj.deform_threshold, obj.deform_spread), (obj.break_threshold, obj.break_spread))
         )
-        plants = [_build_plant(cfg, f, derive_seed(master, *label, "plant", f), n) for f in range(3)]
-        setups[name, trial] = deform_thr, break_thr, derive_seed(master, *label, "shake"), plants
+        unread[name, trial] = [_build_plant(cfg, f, derive_seed(master, *label, "plant", f), n) for f in range(3)]
+        setups[name, trial] = deform_thr, break_thr, derive_seed(master, *label, "shake")
     targets = [t for _, setpoint, _ in trials for t in (setpoint / 2.0, setpoint / 2.0, setpoint)]
-    plants = [copy.copy(p) for name, _, trial in trials for p in setups[name, trial][3]]
+    plants = [copy.copy(p) for name, _, trial in trials for p in unread[name, trial]]
+    del unread
     lane_objs = [objs[name] for name, _, _ in trials for _ in range(3)]
     tail_from = max(0, n - int(round(cfg.grasp.settle_window_s / dt)))
     lane_models = list(models) * len(trials)
@@ -922,7 +929,7 @@ def _grasp_outcomes(cfg: Config, master: int, models: list, trials: list) -> lis
         own = slice(3 * k, 3 * k + 3)
         tail, peaks = tail_sums[own].tolist(), peak[own].tolist()
         grip = sum(tail[f] / (n - tail_from) for f in range(3))
-        deform_thr, break_thr, shake_seed, _ = setups[name, trial]
+        deform_thr, break_thr, shake_seed = setups[name, trial]
         deformed = any(pk > deform_thr for pk in peaks)
         broken = any(pk > break_thr for pk in peaks)
         held = shake_test(grip, objs[name], random.Random(shake_seed))

@@ -14,7 +14,9 @@ bit-exactly.  The sensor noise is drawn from it in blocks (``GaussStream``)
 whose values are, bit for bit, those ``rng.gauss`` calls in sense order
 would give, wherever the blocks are cut: a caller that knows how many
 values its run reads states it, and the blocks then cover that run and no
-more.
+more.  Each plant reads the stream through its own iterator, which a
+``copy.copy`` of the plant copies, so copies read the same values onward,
+each at its own pace.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from itertools import chain, tee
 
 import numpy as np
 
@@ -116,32 +119,21 @@ class GaussStream:
     value it does not read.  With no stated run, or past it, each block is
     ``NOISE_BLOCK`` values.
 
-    The stream keeps only its current block.  Each reader (a plant) holds
-    the block it reads and its own place in it, so plants that share a
-    stream, stepping in lockstep on equal seeds, each read every value in
-    turn; a reader that asks for a block the stream has already left
-    behind gets an error, never another place's values.
+    Iterating the stream gives its values without end, each block drawn
+    when the iteration first reaches it, so a need stated before the first
+    read sizes every block.  A plant reads it through an ``itertools.tee``,
+    whose copies share one buffer: each copy reads every value from where it
+    was copied, and the buffer keeps a value until its last reader has it.
     """
 
-    __slots__ = ("rng", "block", "start", "need")
+    __slots__ = ("rng", "need")
 
     def __init__(self, rng: random.Random):
         self.rng = rng
-        self.block = array("d")
-        self.start = 0  # stream index of block[0]
         self.need = 0  # values the stated run has still to draw; 0 when none is stated
 
-    def block_at(self, index: int) -> tuple:
-        """(block, start) of the block holding stream value ``index``, drawn
-        now if ``index`` is the first value past the current block."""
-        end = self.start + len(self.block)
-        if index == end:
-            self._draw(self._next_length())
-        elif not self.start <= index < end:
-            raise RuntimeError(
-                f"noise value {index} read out of order: the current block is {self.start}..{end - 1}"
-            )
-        return self.block, self.start
+    def __iter__(self):
+        return chain.from_iterable(iter(lambda: self._draw(self._next_length()), None))
 
     def _next_length(self) -> int:
         """The next block's length: the stated need, rounded up to even and
@@ -149,8 +141,8 @@ class GaussStream:
         need = self.need
         return min(MAX_NOISE_BLOCK, need + (need & 1)) if need > 0 else NOISE_BLOCK
 
-    def _draw(self, n: int) -> None:
-        """Move on to the next block, of ``n`` values."""
+    def _draw(self, n: int) -> array:
+        """The next block, of ``n`` values."""
         if n < 2 or n % 2:
             raise ValueError(f"a noise block holds a positive even count of values, not {n}")
         self.need = max(0, self.need - n)
@@ -163,8 +155,7 @@ class GaussStream:
         z[:, 0] = np.fromiter(map(math.cos, x2pi), float, m)
         z[:, 1] = np.fromiter(map(math.sin, x2pi), float, m)
         z *= g2rad[:, None]
-        self.start += len(self.block)
-        self.block = array("d", z.tobytes())
+        return array("d", z.tobytes())
 
 
 class FingerPlant:
@@ -172,11 +163,12 @@ class FingerPlant:
 
     # Fixed attributes: a ``copy.copy`` of a plant (one per grasp lane) reads
     # them as fast as the plant built by ``__init__``; a copied ``__dict__``
-    # would not be.
+    # would not be.  ``noise`` is the plant's stream and ``_values`` its own
+    # iterator over it.
     __slots__ = (
         "internal_model", "tau_p", "k_duty", "bend_gain", "angle_max", "finger_stiffness",
-        "noise_sigma", "angle_noise_sigma", "filter_alpha", "noise",
-        "_block", "_start", "_size", "_k", "pressure", "angle", "contact_force", "_filter_state",
+        "noise_sigma", "angle_noise_sigma", "filter_alpha", "noise", "_values",
+        "pressure", "angle", "contact_force", "_filter_state",
     )
 
     def __init__(
@@ -208,14 +200,20 @@ class FingerPlant:
         self.angle_noise_sigma = angle_noise_sigma
         self.filter_alpha = filter_alpha
         self.noise = GaussStream(random.Random(seed))  # drawn in sense order
-        # The noise block this plant reads, its index in the stream, its
-        # length, and this plant's next value in it: at first, the end of an
-        # empty block at the stream's start.
-        self._block, self._start, self._size, self._k = array("d"), 0, 0, 0
+        (self._values,) = tee(self.noise, 1)
         self.pressure = 0.0  # kPa
         self.angle = 0.0  # deg
         self.contact_force = 0.0  # N, true force against the object
         self._filter_state: float | None = None
+
+    def __copy__(self) -> FingerPlant:
+        """A plant in this one's state that reads the noise values this one
+        has yet to read, from a copy of its iterator, at its own pace."""
+        twin = object.__new__(type(self))
+        for name in FingerPlant.__slots__:
+            setattr(twin, name, getattr(self, name))
+        twin._values = self._values.__copy__()
+        return twin
 
     def check_dt(self, dt: float) -> None:
         """Raise ValueError unless ``step`` can integrate a tick of ``dt``."""
@@ -258,35 +256,22 @@ class FingerPlant:
         max(0, force + noise) -- the FSR cannot read negative -- and the
         filter state initializes on the first sample, so with noise off a
         constant input is reproduced exactly from the first reading.  Each
-        channel with a positive sigma adds the next value of ``noise`` times
-        its sigma, force first, as ``rng.gauss(0.0, sigma)`` would.
+        channel with a positive sigma adds the plant's next value of
+        ``noise`` times its sigma, force first, as ``rng.gauss(0.0, sigma)``
+        would.
         """
-        values, k = self._block, self._k
         sigma = self.noise_sigma
         if sigma > 0.0:
-            if k == self._size:
-                values, k = self._next_block()
             # rng.gauss adds 0.0 first, which turns -0.0 into 0.0; the floor
             # below reads either sum as 0.0, so the force skips it
-            force += values[k] * sigma
-            k += 1
+            force += next(self._values) * sigma
         raw = force if force > 0.0 else 0.0  # max(0.0, force), NaN included, without a call
         state = self._filter_state
         self._filter_state = raw = raw if state is None else state + self.filter_alpha * (raw - state)
         sigma = self.angle_noise_sigma
         if sigma > 0.0:
-            if k == self._size:
-                values, k = self._next_block()
-            angle += 0.0 + values[k] * sigma
-            k += 1
-        self._k = k
+            angle += 0.0 + next(self._values) * sigma
         return angle, raw
-
-    def _next_block(self) -> tuple:
-        """Move on to the stream's block after this plant's: (block, 0)."""
-        block, self._start = self.noise.block_at(self._start + self._size)
-        self._block, self._size = block, len(block)
-        return block, 0
 
 
 def shake_test(total_grip_force: float, obj: ObjectModel, rng: random.Random) -> bool:

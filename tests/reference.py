@@ -8,6 +8,8 @@ on purpose.  The production kernels (``_open_loop``, ``_closed_loop`` and
 ``_grasp_lanes``) hold the state themselves and repeat its arithmetic in a
 faster form, and the tests hold them to its bits, comparing with ``hexed``
 and counting sensor reads with ``counted_senses``.
+``GaussSensor`` is ``FingerPlant.sense``'s noise and filter drawn by
+``rng.gauss``, as the block-drawn noise must give them bit for bit.
 ``residual_sum_of_squares`` is the per-sample formula that
 ``calibration._rss`` reproduces over arrays and that ``select_model``'s
 records are checked against, and ``positional_pi`` the closed form that the
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import random
 from array import array
 from typing import Callable, NamedTuple
 
@@ -72,6 +75,24 @@ def sense(plant_obj: FingerPlant) -> tuple:
     internal model's force there plus its contact force."""
     angle = plant_obj.angle
     return plant_obj.sense(angle, plant_obj.internal_model.predict(angle) + plant_obj.contact_force)
+
+
+class GaussSensor:
+    """``FingerPlant.sense``'s noise and filter as drawn one ``rng.gauss``
+    call per noisy channel: the reference the block draw must equal."""
+
+    def __init__(self, plant: FingerPlant, seed: int):
+        self.plant, self.rng, self.state = plant, random.Random(seed), None
+
+    def sense(self, angle: float, force: float) -> tuple:
+        p = self.plant
+        if p.noise_sigma > 0.0:
+            force += self.rng.gauss(0.0, p.noise_sigma)
+        raw = force if force > 0.0 else 0.0
+        self.state = raw if self.state is None else self.state + p.filter_alpha * (raw - self.state)
+        if p.angle_noise_sigma > 0.0:
+            angle += self.rng.gauss(0.0, p.angle_noise_sigma)
+        return angle.hex(), self.state.hex()
 
 
 def trace_row(trace: Trace, plant_obj: FingerPlant, t, duty, reading, estimate, mode) -> None:

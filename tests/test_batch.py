@@ -25,10 +25,12 @@ Both sweeps keep the reference's sensing contract: one
 ``FingerPlant.sense`` call per live lane-tick (a failing grasp trial's
 lanes live through the tick it fails in), and grasp lanes that share
 a plant seed (one object, trial and finger at other set-points) read one
-noise stream, which refuses a read out of order.
+noise stream through copies of one plant, which read its values at their
+own paces.
 """
 
 import contextlib
+import copy
 import math
 import random
 
@@ -44,7 +46,7 @@ from softgrip.errors import NonFiniteError, OutOfRangeError, SoftgripError
 from softgrip.harness import GraspOutcome, EstimationRow
 from softgrip.plant import NOISE_BLOCK, GaussStream, ObjectModel
 
-from reference import Lane, build_supervisor, counted_senses, hexed, simulate
+from reference import GaussSensor, Lane, build_supervisor, counted_senses, hexed, simulate
 
 # ---------------------------------------------------------------------------
 # Oracles: the scalar bodies the batch replaced
@@ -660,21 +662,63 @@ def test_the_default_batch_builds_each_plant_seed_once(monkeypatch):
     assert len({id(p) for p in plants}) == 540  # every lane reads through a plant of its own
 
 
-def test_a_shared_stream_read_out_of_order_raises():
-    cfg = build(SHARED)
-    ahead, behind, alone = (harness._build_plant(cfg, 0, 5) for _ in range(3))
-    behind.noise = ahead.noise
+PRESS = ObjectModel(position_angle=25.0, stiffness=0.3)
 
-    def reading(plant):
-        angle_meas, force_meas = plant.sense(10.0, 1.0)
-        return angle_meas.hex(), force_meas.hex()
 
-    for _ in range(300):  # in lockstep, two values per sense: into the stream's second block
-        assert reading(ahead) == reading(behind) == reading(alone)
-    for _ in range(NOISE_BLOCK):  # two blocks further on
-        reading(ahead)
-    # the behind plant still reads the block it holds, then the stream has left it behind
-    for _ in range(NOISE_BLOCK - 300):
-        assert reading(behind) == reading(alone)
-    with pytest.raises(RuntimeError, match="out of order"):
-        behind.sense(10.0, 1.0)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    sigmas=st.sampled_from([(0.02, 0.05), (0.02, 0.0), (0.0, 0.05), (0.0, 0.0)]),
+    run=st.one_of(st.integers(0, 300), st.integers(2049, 2400)),
+    copied_at=st.integers(0, 300),
+    stop=st.integers(0, 300),
+    past=st.integers(0, 2 * NOISE_BLOCK),
+    paces=st.tuples(*[st.integers(1, 60)] * 3),
+)
+@example(seed=5, sigmas=(0.02, 0.05), run=2100, copied_at=10, stop=5, past=2 * NOISE_BLOCK, paces=(1, 1, 60))
+def test_copies_of_a_plant_read_its_noise_at_their_own_paces(seed, sigmas, run, copied_at, stop, past, paces):
+    # A plant stated a run of ``run`` senses (past 2,048 with both channels
+    # on, more than one block) is copied twice after ``copied_at`` of them.
+    # Then each reads ``paces`` senses a turn: the plant to the end of its
+    # run, one copy ``stop`` senses more before it stops, as a failed grasp
+    # lane does, and one ``past`` senses beyond the run, into NOISE_BLOCK
+    # blocks.  Each bends at its own rate and reads what rng.gauss gives it.
+    cfg = config_from_dict({"plant": {"noise_sigma": sigmas[0], "angle_noise_sigma": sigmas[1]}})
+    dt = cfg.controller.period
+    copied_at = min(copied_at, run)
+    plant = harness._build_plant(cfg, 0, seed, run)
+    ref, duties, inputs = GaussSensor(plant, seed), [], []
+
+    def tick(plant_obj, gauss, duties, rate):
+        duty = min(90.0, rate * len(duties))
+        plant_obj.step(duty, dt, PRESS)
+        duties.append(duty)
+        angle = plant_obj.angle
+        force = plant_obj.internal_model.predict(angle) + plant_obj.contact_force
+        assert tuple(map(float.hex, plant_obj.sense(angle, force))) == gauss.sense(angle, force)
+        return angle, force
+
+    def state(plant_obj):
+        return hexed((plant_obj.pressure, plant_obj.angle, plant_obj.contact_force, plant_obj._filter_state))
+
+    for _ in range(copied_at):
+        inputs.append(tick(plant, ref, duties, 0.3))
+    lanes = [[plant, ref, duties, 0.3, run - copied_at]]  # plant, its reference, duties, bend rate, senses left
+    for rate, senses in ((0.5, min(stop, run - copied_at)), (0.2, run - copied_at + past)):
+        twin = copy.copy(plant)
+        gauss = GaussSensor(twin, seed)
+        assert state(twin) == state(plant)
+        for angle, force in inputs:
+            gauss.sense(angle, force)
+        lanes.append([twin, gauss, list(duties), rate, senses])
+    while any(lane[4] for lane in lanes):
+        for lane, pace in zip(lanes, paces):
+            turn = min(pace, lane[4])
+            for _ in range(turn):
+                tick(*lane[:4])
+            lane[4] -= turn
+    for plant_obj, _, own, _, _ in lanes:  # each copy stepped on its own
+        alone = harness._build_plant(cfg, 0, seed)
+        for duty in own:
+            alone.step(duty, dt, PRESS)
+        assert state(plant_obj)[:3] == state(alone)[:3]

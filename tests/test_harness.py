@@ -579,8 +579,9 @@ def test_each_kernel_draws_the_noise_it_reads(sigmas, tmp_path, monkeypatch):
             super().__init__(rng)
 
         def _draw(self, *args):
-            super()._draw(*args)
-            drawn[self] += len(self.block)
+            block = super()._draw(*args)
+            drawn[self] += len(block)
+            return block
 
     real_sense = FingerPlant.sense
 

@@ -6,8 +6,9 @@ Covers:
   pinned angle against rigid objects
 - sensing: superposition with noise off, filter warm-up exactness, the FSR
   zero floor, and the block-drawn noise against ``rng.gauss`` bit for bit,
-  wherever the blocks are cut and past a stated run, for one reader or two
-  in lockstep; a block that would split a Box-Muller pair is refused
+  wherever the blocks are cut and past a stated run, for one reader or a
+  plant and its copy in lockstep; a block that would split a Box-Muller
+  pair is refused
 - determinism (bit-identical traces for equal seeds) and the explicit-Euler
   dt precondition
 - shake_test against the Normal-CDF oracle
@@ -15,9 +16,12 @@ Covers:
   ground-truth coefficients within their standard errors
 """
 
+import copy
 import math
 import random
 import warnings
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +41,7 @@ from softgrip.plant import (
     shake_test,
 )
 
-from reference import sense
+from reference import GaussSensor, sense
 
 DT = 1.0 / 60.0
 
@@ -173,24 +177,6 @@ def test_sense_floors_at_zero():
     assert sense(plant)[1] == 0.0
 
 
-class GaussSensor:
-    """``FingerPlant.sense``'s noise and filter as drawn one ``rng.gauss``
-    call per noisy channel: the reference the block draw must equal."""
-
-    def __init__(self, plant: FingerPlant, seed: int):
-        self.plant, self.rng, self.state = plant, random.Random(seed), None
-
-    def sense(self, angle: float, force: float) -> tuple:
-        p = self.plant
-        if p.noise_sigma > 0.0:
-            force += self.rng.gauss(0.0, p.noise_sigma)
-        raw = force if force > 0.0 else 0.0
-        self.state = raw if self.state is None else self.state + p.filter_alpha * (raw - self.state)
-        if p.angle_noise_sigma > 0.0:
-            angle += self.rng.gauss(0.0, p.angle_noise_sigma)
-        return angle.hex(), self.state.hex()
-
-
 MAX_FLOAT = 1.7976931348623157e308
 # 5e-324 noise rounds to -0.0, which rng.gauss turns into 0.0 on a -0.0 angle
 sigmas = st.sampled_from([0.0, 5e-324, 0.02, 0.7, 1e300])
@@ -243,25 +229,32 @@ def test_block_noise_equals_rng_gauss(seed, noise_sigma, angle_noise_sigma, give
 @pytest.mark.parametrize("seed", [0, 1, 2**70 + 3])
 def test_gauss_stream_blocks_equal_rng_gauss(seed):
     stream, rng = GaussStream(random.Random(seed)), random.Random(seed)
-    for index in range(0, 4 * NOISE_BLOCK, NOISE_BLOCK):
-        block, start = stream.block_at(index)
-        assert start == index
-        assert [v.hex() for v in block] == [rng.gauss(0.0, 1.0).hex() for _ in range(NOISE_BLOCK)]
-    assert stream.rng.getstate() == rng.getstate()  # the same words consumed
+    values = iter(stream)
+    assert stream.rng.getstate() == rng.getstate()  # nothing drawn before the first read
+    for _ in range(4):
+        assert [next(values).hex() for _ in range(NOISE_BLOCK)] == [
+            rng.gauss(0.0, 1.0).hex() for _ in range(NOISE_BLOCK)
+        ]
+        assert stream.rng.getstate() == rng.getstate()  # the same words consumed, a block at a time
 
 
 class CutStream(GaussStream):
     """A noise stream cut into the given block lengths first, then sized as
-    any stream is, by its stated need."""
+    any stream is, by its stated need; ``drawn`` counts the values drawn."""
 
-    __slots__ = ("cuts",)
+    __slots__ = ("cuts", "drawn")
 
     def __init__(self, rng, cuts):
         super().__init__(rng)
-        self.cuts = list(cuts)
+        self.cuts, self.drawn = list(cuts), 0
 
     def _next_length(self):
         return self.cuts.pop(0) if self.cuts else super()._next_length()
+
+    def _draw(self, n):
+        block = super()._draw(n)
+        self.drawn += len(block)
+        return block
 
 
 # even block lengths up to the largest, short ones often, so a run crosses cuts
@@ -282,22 +275,22 @@ cut_lengths = st.one_of(st.integers(1, 8), st.integers(1, MAX_NOISE_BLOCK // 2))
 @example(seed=3, noise_sigma=0.0, angle_noise_sigma=0.7, cuts=[2, 2], stated=5, past=600, readers=2)
 def test_cut_blocks_read_as_rng_gauss(seed, noise_sigma, angle_noise_sigma, cuts, stated, past, readers):
     # ``stated`` senses are stated to the stream, ``past`` more are read
-    # beyond them; two readers share one stream, as the grasp lanes do
-    plants = [make_plant(seed=seed, noise_sigma=noise_sigma, angle_noise_sigma=angle_noise_sigma)
-              for _ in range(readers)]
-    stream = CutStream(random.Random(seed), cuts)
+    # beyond them; two readers share one stream by ``copy.copy``, as the
+    # grasp lanes do
+    with mock.patch("softgrip.plant.GaussStream", partial(CutStream, cuts=cuts)):
+        plant = make_plant(seed=seed, noise_sigma=noise_sigma, angle_noise_sigma=angle_noise_sigma)
+    plants = [plant, *(copy.copy(plant) for _ in range(readers - 1))]
+    stream = plant.noise
     values = stated * ((noise_sigma > 0.0) + (angle_noise_sigma > 0.0))
     stream.need = values
-    for plant in plants:
-        plant.noise = stream
-    ref = GaussSensor(plants[0], seed)
+    ref = GaussSensor(plant, seed)
     for i in range(stated + past):
         angle, force = 12.5 + i % 7, 0.4 + i % 3
         expected = ref.sense(angle, force)
         for plant in plants:
             assert tuple(map(float.hex, plant.sense(angle, force))) == expected
     if not cuts and not past:  # the stated run drew what it read, and a twin if odd
-        assert stream.start + len(stream.block) == values + values % 2
+        assert stream.drawn == values + values % 2
 
 
 @pytest.mark.parametrize("n", [-2, 0, 1, 3, NOISE_BLOCK + 1])
@@ -305,7 +298,7 @@ def test_gauss_stream_refuses_a_block_that_splits_a_pair(n):
     stream = GaussStream(random.Random(0))
     with pytest.raises(ValueError, match="even"):
         stream._draw(n)
-    assert (stream.start, len(stream.block), stream.rng.getstate()) == (0, 0, random.Random(0).getstate())
+    assert stream.rng.getstate() == random.Random(0).getstate()  # no word drawn
 
 
 def test_determinism_bit_identical_traces():
