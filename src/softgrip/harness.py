@@ -12,8 +12,8 @@ Three tick kernels step the experiments, and give the same bits:
   the target pressures in one numpy product, the pressure recurrence in
   floats, the bend and the contact in numpy.  Its callers then read the
   sensors through ``_senses``, one ``FingerPlant.sense`` per tick, in tick
-  order, as one ``map`` per 512 ticks chained together, with no
-  generator frame per tick.  The calibration ramp (3 fingers of 12,390
+  order, as one ``map`` per ``_SENSE_CHUNK`` ticks chained together, with
+  no generator frame per tick.  The calibration ramp (3 fingers of 12,390
   ticks at the default config) and the hardness probe (2 runs of 480) use
   it.
 - ``_closed_loop`` steps one finger under the supervisor and its PI
@@ -89,12 +89,13 @@ from .config import Config
 from .control import Mode, PiController
 from .errors import SoftgripError
 from .estimation import ContactDetector, calibrated_range, contact_force, internal_force
-from .plant import MAX_DUTY, NOISE_BLOCK, FingerPlant, ObjectModel, contact_split, shake_test
+from .plant import MAX_DUTY, FingerPlant, ObjectModel, contact_split, shake_test
 from .seeding import derive_seed
 
 TRACE_HEADER = ("t", "duty", "pressure_kpa", "angle_deg", "f_m", "f_i_pred", "f_c_est", "f_c_true", "mode")
 _TRACE_ROW = "%r," * (len(TRACE_HEADER) - 1) + "%s" + CSV_LINE_END
 SETTLING_BAND = 0.05  # StepMetrics' settling band, a fraction of the target
+_SENSE_CHUNK = 512  # states per ``map`` in ``_senses``
 
 
 def _floats():
@@ -315,13 +316,13 @@ def _open_loop(plant_obj: FingerPlant, duties, dt: float, obj: ObjectModel | Non
 def _senses(plant_obj: FingerPlant, angles: np.ndarray, contact: np.ndarray):
     """``FingerPlant.sense`` of each state (true angle, contact force), one
     call per state, in order, as the returned iterator is read.  The states
-    become Python floats a block at a time, so a long run holds few, and
-    each block's calls run as one ``map``, with no generator frame per tick."""
+    become Python floats a chunk at a time, so a long run holds few, and
+    each chunk's calls run as one ``map``, with no generator frame per tick."""
     with np.errstate(all="ignore"):  # as Python floats reach inf and NaN, without warnings
         forces = _horner(reversed(plant_obj.internal_model.weights), angles) + contact
     return chain.from_iterable(
-        map(plant_obj.sense, angles[k : k + NOISE_BLOCK].tolist(), forces[k : k + NOISE_BLOCK].tolist())
-        for k in range(0, len(angles), NOISE_BLOCK)
+        map(plant_obj.sense, angles[k : k + _SENSE_CHUNK].tolist(), forces[k : k + _SENSE_CHUNK].tolist())
+        for k in range(0, len(angles), _SENSE_CHUNK)
     )
 
 

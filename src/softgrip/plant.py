@@ -10,17 +10,18 @@ pneumatic PWM-ripple filter).
 
 All randomness comes from a per-plant ``random.Random`` seeded at
 construction, so identical seed + command sequence reproduces traces
-bit-exactly.  The sensor noise is drawn from it in blocks (``GaussStream``)
-whose values are, bit for bit, those ``rng.gauss`` calls in sense order
-would give, wherever the blocks are cut: a caller that knows how many
-values its run reads states it, and the blocks then cover that run and no
-more.  Each plant reads the stream through its own iterator, which a
-``copy.copy`` of the plant copies, so copies read the same values onward,
-each at its own pace.
+bit-exactly.  The sensor noise is drawn from it in blocks (``GaussStream``,
+one ``cmath.rect`` per Box-Muller pair) whose values are, bit for bit,
+those ``rng.gauss`` calls in sense order would give, wherever the blocks
+are cut; a stated run's blocks cover it and no more, each at most
+``MAX_NOISE_BLOCK``, the length of every block past it.  Each plant reads
+the stream through its own iterator, which a ``copy.copy`` copies, so
+copies read the same values onward, each at its own pace.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from array import array
@@ -44,13 +45,9 @@ DEFAULT_ANGLE_NOISE_SIGMA = 0.05  # deg
 DEFAULT_FILTER_ALPHA = 0.95
 MAX_DUTY = 100.0  # duty-%, the PWM ceiling
 
-# Gaussian noise values per GaussStream block when no run is stated (4 kB):
-# 256 senses with both noise channels on.
-NOISE_BLOCK = 512
-# The largest block a stated run draws at once (32 kB).  Each block pays a
-# fixed cost, so a value cost 315 ns in a block of 512, 273 ns at 1,536 and
-# 253 ns at 4,096 (2-CPU VM, Python 3.11, numpy 2.4; medians of 300 draws),
-# and larger blocks would buy little for their memory.
+# The largest GaussStream block (32 kB), and each block once no stated need
+# is left: a value cost 144-154 ns in a block of 512 and 125-129 ns at 4,096
+# (2-CPU VM, Python 3.11, numpy 2.4; best of 7 x 50 draws, two runs).
 MAX_NOISE_BLOCK = 4096
 
 # Ground-truth internal-force quartic (N vs deg), monotone over the working
@@ -106,18 +103,20 @@ class GaussStream:
     the sine twin.  A block takes its doubles from one ``getrandbits`` call
     instead: its little-endian 32-bit words are those ``random()`` consumes,
     two per double, in the same order.  The products and square roots are
-    IEEE-exact in numpy; log, cos and sin are the libm calls ``math`` makes,
-    since numpy's own differ from libm in the last bit on some inputs.
+    IEEE-exact in numpy, and log is libm's, as in ``math`` (numpy's differs
+    in the last bit on some inputs).  Each pair is one ``cmath.rect(r, phi)``:
+    r * libm's cos(phi), then r * sin(phi), as a complex array's bytes hold
+    them, or (r, r * phi), the same bits, at phi == 0
+    (``scripts/check_box_muller.py`` checks this bit for bit).
 
     A block of n values is the next n / 2 pairs, so the next 2n words,
     wherever the blocks are cut, as long as n is even: an odd n would pair
     one block's last cosine with the next block's uniforms, so ``_draw``
     refuses it.  ``need`` is the count of values the stream's run has still
     to draw, as its caller stated it (the harness, which knows each run's
-    senses before the first): each block is then that need, rounded up to
-    an even count, at most ``MAX_NOISE_BLOCK``, so a run draws at most one
-    value it does not read.  With no stated run, or past it, each block is
-    ``NOISE_BLOCK`` values.
+    senses before the first): each block is that need, rounded up to even
+    and at most ``MAX_NOISE_BLOCK``, so a run draws at most one value it
+    does not read, or ``MAX_NOISE_BLOCK`` once no need is left.
 
     Iterating the stream gives its values without end, each block drawn
     when the iteration first reaches it, so a need stated before the first
@@ -136,26 +135,21 @@ class GaussStream:
         return chain.from_iterable(iter(lambda: self._draw(self._next_length()), None))
 
     def _next_length(self) -> int:
-        """The next block's length: the stated need, rounded up to even and
-        capped, or ``NOISE_BLOCK`` once no need is left."""
-        need = self.need
-        return min(MAX_NOISE_BLOCK, need + (need & 1)) if need > 0 else NOISE_BLOCK
+        """The next block's length: the stated need, rounded up to even, at
+        most ``MAX_NOISE_BLOCK``, or ``MAX_NOISE_BLOCK`` once none is left."""
+        return min(self.need + (self.need & 1), MAX_NOISE_BLOCK) or MAX_NOISE_BLOCK
 
     def _draw(self, n: int) -> array:
-        """The next block, of ``n`` values."""
+        """The next block, of ``n`` values: one ``cmath.rect`` per pair."""
         if n < 2 or n % 2:
             raise ValueError(f"a noise block holds a positive even count of values, not {n}")
         self.need = max(0, self.need - n)
         m = n // 2
         words = np.frombuffer(self.rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
         u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
-        x2pi = (u[0::2] * (2.0 * math.pi)).tolist()
         g2rad = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[1::2]).tolist()), float, m))
-        z = np.empty((m, 2))  # each pair's cosine value, then its sine value
-        z[:, 0] = np.fromiter(map(math.cos, x2pi), float, m)
-        z[:, 1] = np.fromiter(map(math.sin, x2pi), float, m)
-        z *= g2rad[:, None]
-        return array("d", z.tobytes())
+        x2pi = (u[0::2] * (2.0 * math.pi)).tolist()
+        return array("d", np.fromiter(map(cmath.rect, g2rad.tolist(), x2pi), complex, m).tobytes())
 
 
 class FingerPlant:
@@ -214,6 +208,10 @@ class FingerPlant:
             setattr(twin, name, getattr(self, name))
         twin._values = self._values.__copy__()
         return twin
+
+    def __deepcopy__(self, memo) -> FingerPlant:
+        """``copy.copy``'s plant: the model is frozen, and a tee's deep copy is deprecated."""
+        return self.__copy__()
 
     def check_dt(self, dt: float) -> None:
         """Raise ValueError unless ``step`` can integrate a tick of ``dt``."""

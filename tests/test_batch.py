@@ -44,7 +44,7 @@ from softgrip.config import config_from_dict, default_config, validate
 from softgrip.control import Mode, Supervisor
 from softgrip.errors import NonFiniteError, OutOfRangeError, SoftgripError
 from softgrip.harness import GraspOutcome, EstimationRow
-from softgrip.plant import NOISE_BLOCK, GaussStream, ObjectModel
+from softgrip.plant import MAX_NOISE_BLOCK, GaussStream, ObjectModel
 
 from reference import GaussSensor, Lane, build_supervisor, counted_senses, hexed, simulate
 
@@ -672,17 +672,18 @@ PRESS = ObjectModel(position_angle=25.0, stiffness=0.3)
     run=st.one_of(st.integers(0, 300), st.integers(2049, 2400)),
     copied_at=st.integers(0, 300),
     stop=st.integers(0, 300),
-    past=st.integers(0, 2 * NOISE_BLOCK),
+    past=st.one_of(st.integers(0, 300), st.integers(MAX_NOISE_BLOCK // 2, MAX_NOISE_BLOCK + 64)),
     paces=st.tuples(*[st.integers(1, 60)] * 3),
 )
-@example(seed=5, sigmas=(0.02, 0.05), run=2100, copied_at=10, stop=5, past=2 * NOISE_BLOCK, paces=(1, 1, 60))
+@example(seed=5, sigmas=(0.02, 0.05), run=2100, copied_at=10, stop=5, past=MAX_NOISE_BLOCK + 64, paces=(1, 1, 60))
 def test_copies_of_a_plant_read_its_noise_at_their_own_paces(seed, sigmas, run, copied_at, stop, past, paces):
     # A plant stated a run of ``run`` senses (past 2,048 with both channels
     # on, more than one block) is copied twice after ``copied_at`` of them.
     # Then each reads ``paces`` senses a turn: the plant to the end of its
     # run, one copy ``stop`` senses more before it stops, as a failed grasp
-    # lane does, and one ``past`` senses beyond the run, into NOISE_BLOCK
-    # blocks.  Each bends at its own rate and reads what rng.gauss gives it.
+    # lane does, and one ``past`` senses beyond the run, into blocks of
+    # MAX_NOISE_BLOCK (past 2,048 with both channels on, more than one).
+    # Each bends at its own rate and reads what rng.gauss gives it.
     cfg = config_from_dict({"plant": {"noise_sigma": sigmas[0], "angle_noise_sigma": sigmas[1]}})
     dt = cfg.controller.period
     copied_at = min(copied_at, run)

@@ -7,8 +7,9 @@ Covers:
 - sensing: superposition with noise off, filter warm-up exactness, the FSR
   zero floor, and the block-drawn noise against ``rng.gauss`` bit for bit,
   wherever the blocks are cut and past a stated run, for one reader or a
-  plant and its copy in lockstep; a block that would split a Box-Muller
-  pair is refused
+  plant and its copy in lockstep, at the draw's edges (all-zero and
+  all-ones words), and through a deep copy; a block that would split a
+  Box-Muller pair is refused
 - determinism (bit-identical traces for equal seeds) and the explicit-Euler
   dt precondition
 - shake_test against the Normal-CDF oracle
@@ -34,7 +35,6 @@ from softgrip.harness import _build_plant
 from softgrip.plant import (
     DEFAULT_INTERNAL_WEIGHTS,
     MAX_NOISE_BLOCK,
-    NOISE_BLOCK,
     FingerPlant,
     GaussStream,
     ObjectModel,
@@ -191,6 +191,29 @@ inputs = st.lists(
 )
 
 
+class CutStream(GaussStream):
+    """A noise stream cut into the given block lengths first, then sized as
+    any stream is, by its stated need; ``drawn`` counts the values drawn."""
+
+    __slots__ = ("cuts", "drawn")
+
+    def __init__(self, rng, cuts):
+        super().__init__(rng)
+        self.cuts, self.drawn = list(cuts), 0
+
+    def _next_length(self):
+        return self.cuts.pop(0) if self.cuts else super()._next_length()
+
+    def _draw(self, n):
+        block = super()._draw(n)
+        self.drawn += len(block)
+        return block
+
+
+# a short block, so a few senses cross several block boundaries
+SHORT_BLOCK = 512
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64),
@@ -202,15 +225,17 @@ inputs = st.lists(
 @example(seed=1, noise_sigma=1e300, angle_noise_sigma=0.02, given_state=True, inputs=[(12.5, MAX_FLOAT)])
 @example(seed=2, noise_sigma=0.0, angle_noise_sigma=0.7, given_state=False, inputs=[(0.0, 0.0)])
 def test_block_noise_equals_rng_gauss(seed, noise_sigma, angle_noise_sigma, given_state, inputs):
-    # three blocks' worth of senses and a few more: one noisy channel or two
-    # each cross at least three block boundaries
-    plant = make_plant(seed=seed, noise_sigma=noise_sigma, angle_noise_sigma=angle_noise_sigma)
+    # three short blocks' worth of senses and a few more, read from a stream
+    # cut into short blocks: one noisy channel or two each cross at least
+    # three block boundaries
+    with mock.patch("softgrip.plant.GaussStream", partial(CutStream, cuts=[SHORT_BLOCK] * 6)):
+        plant = make_plant(seed=seed, noise_sigma=noise_sigma, angle_noise_sigma=angle_noise_sigma)
     ref = GaussSensor(plant, seed)
     obj = ObjectModel(position_angle=25.0, stiffness=0.3)
     forces = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's floating-point warnings raise
-        for i in range(3 * NOISE_BLOCK + 5):
+        for i in range(3 * SHORT_BLOCK + 5):
             if given_state:
                 angle, force = inputs[i % len(inputs)]
                 reading = plant.sense(angle, force)
@@ -232,29 +257,10 @@ def test_gauss_stream_blocks_equal_rng_gauss(seed):
     values = iter(stream)
     assert stream.rng.getstate() == rng.getstate()  # nothing drawn before the first read
     for _ in range(4):
-        assert [next(values).hex() for _ in range(NOISE_BLOCK)] == [
-            rng.gauss(0.0, 1.0).hex() for _ in range(NOISE_BLOCK)
+        assert [next(values).hex() for _ in range(MAX_NOISE_BLOCK)] == [
+            rng.gauss(0.0, 1.0).hex() for _ in range(MAX_NOISE_BLOCK)
         ]
         assert stream.rng.getstate() == rng.getstate()  # the same words consumed, a block at a time
-
-
-class CutStream(GaussStream):
-    """A noise stream cut into the given block lengths first, then sized as
-    any stream is, by its stated need; ``drawn`` counts the values drawn."""
-
-    __slots__ = ("cuts", "drawn")
-
-    def __init__(self, rng, cuts):
-        super().__init__(rng)
-        self.cuts, self.drawn = list(cuts), 0
-
-    def _next_length(self):
-        return self.cuts.pop(0) if self.cuts else super()._next_length()
-
-    def _draw(self, n):
-        block = super()._draw(n)
-        self.drawn += len(block)
-        return block
 
 
 # even block lengths up to the largest, short ones often, so a run crosses cuts
@@ -293,12 +299,54 @@ def test_cut_blocks_read_as_rng_gauss(seed, noise_sigma, angle_noise_sigma, cuts
         assert stream.drawn == values + values % 2
 
 
-@pytest.mark.parametrize("n", [-2, 0, 1, 3, NOISE_BLOCK + 1])
+@pytest.mark.parametrize("n", [-2, 0, 1, 3, 513, MAX_NOISE_BLOCK + 1])
 def test_gauss_stream_refuses_a_block_that_splits_a_pair(n):
     stream = GaussStream(random.Random(0))
     with pytest.raises(ValueError, match="even"):
         stream._draw(n)
     assert stream.rng.getstate() == random.Random(0).getstate()  # no word drawn
+
+
+class ZeroWords(random.Random):
+    """Every word 0: u1 = u2 = 0.0, so phi = 0.0, ``cmath.rect``'s own
+    branch, and r = sqrt(-2 log 1.0) = -0.0."""
+
+    def getrandbits(self, k):
+        return 0
+
+    def random(self):
+        return 0.0
+
+
+class OnesWords(random.Random):
+    """Every word all ones: u1 = u2 = 1 - 2**-53, just below 1, so phi is
+    just below 2 pi and r = sqrt(-2 log 2**-53), the largest r, 8.57."""
+
+    def getrandbits(self, k):
+        return (1 << k) - 1
+
+    def random(self):
+        return (2**53 - 1) / 2**53
+
+
+@pytest.mark.parametrize("rng_type", [ZeroWords, OnesWords])
+def test_gauss_stream_edges_equal_rng_gauss(rng_type):
+    # gauss(-0.0, 1.0) returns -0.0 + z, which is z to the sign of a zero,
+    # where gauss(0.0, 1.0) would turn -0.0 into 0.0
+    values, rng = iter(GaussStream(rng_type())), rng_type()
+    assert [next(values).hex() for _ in range(6)] == [rng.gauss(-0.0, 1.0).hex() for _ in range(6)]
+
+
+def test_a_deep_copy_reads_the_next_values():
+    plant = make_plant(seed=7)
+    for i in range(3):
+        plant.sense(12.5 + i, 0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # itertools' deprecated pickling would raise
+        twin = copy.deepcopy(plant)
+    assert twin.internal_model is plant.internal_model
+    for i in range(5):
+        assert tuple(map(float.hex, twin.sense(9.0 + i, 1.5))) == tuple(map(float.hex, plant.sense(9.0 + i, 1.5)))
 
 
 def test_determinism_bit_identical_traces():
