@@ -87,6 +87,13 @@ def _bounded(default, bound: _Bound):
 
 @dataclass
 class PlantConfig:
+    """The simulated finger (``plant.FingerPlant``): the pressure lag ``tau_p``
+    (s), ``k_duty`` (kPa per duty-%), ``bend_gain`` (deg/kPa) up to
+    ``angle_max`` (deg), ``finger_stiffness`` (N/deg), the force and angle
+    noise sigmas (N, deg), the force filter's ``filter_alpha``, the
+    internal-force polynomial's ``internal_weights`` (N per deg^d) and each
+    finger's scale of them."""
+
     tau_p: float = _bounded(plant.DEFAULT_TAU_P, _POSITIVE)
     k_duty: float = _bounded(plant.DEFAULT_K_DUTY, _GAIN)
     bend_gain: float = _bounded(plant.DEFAULT_BEND_GAIN, _POSITIVE)
@@ -101,6 +108,10 @@ class PlantConfig:
 
 @dataclass
 class ControllerConfig:
+    """The PI force controller (``control.PiController``): ``kp`` (duty-% per
+    N), ``ki`` (duty-% per N s), the control ``period`` (s) and the duty
+    limits (duty-%)."""
+
     kp: float = control.DEFAULT_KP
     ki: float = control.DEFAULT_KI
     period: float = _bounded(control.DEFAULT_PERIOD, _POSITIVE)
@@ -110,6 +121,11 @@ class ControllerConfig:
 
 @dataclass
 class SupervisorConfig:
+    """The approach and the estimator's guards: the approach ramp (duty-%/s),
+    the estimated force (N) that ends it in force control, and the
+    extrapolation margin past the calibrated angles (a fraction of their
+    span)."""
+
     approach_rate: float = _bounded(control.DEFAULT_APPROACH_RATE, _POSITIVE)
     contact_threshold: float = _bounded(estimation.DEFAULT_CONTACT_THRESHOLD, _POSITIVE)
     extrapolation_margin: float = _bounded(estimation.DEFAULT_EXTRAPOLATION_MARGIN, _MARGIN)
@@ -140,6 +156,12 @@ class GraspObjectConfig(ObjectConfig):
 
 @dataclass
 class CalibrationConfig:
+    """The free-space calibration: ``cycles`` staircases of ``levels`` duty
+    levels up to ``peak_pressure`` (kPa) and back, each held ``hold_s`` (s)
+    and drawn per cycle within ``level_jitter`` (duty-%), then a rest of
+    ``rest_s`` (s); polynomials of degree 0 to ``max_degree`` are fitted and
+    one selected by BIC."""
+
     cycles: int = _bounded(35, _AT_LEAST_ONE)
     levels: int = 10  # must exceed max_degree
     hold_s: float = _bounded(0.3, _ONE_TICK)
@@ -151,6 +173,10 @@ class CalibrationConfig:
 
 @dataclass
 class StepConfig:
+    """The step response against ``object``: ``n_seeds`` runs from a warm
+    start at ``warm_start_duty`` (duty-%), each holding ``first_target``,
+    then ``second_target`` (N), for ``segment_s`` (s) each."""
+
     object: ObjectConfig = field(
         default_factory=lambda: ObjectConfig(position_angle=6.0, stiffness=1.4)
     )
@@ -163,6 +189,9 @@ class StepConfig:
 
 @dataclass
 class SwitchingConfig:
+    """The approach-to-force-control switch against ``object``: ``n_seeds``
+    runs of ``duration_s`` (s) from rest, at the set-point ``target`` (N)."""
+
     object: ObjectConfig = field(
         default_factory=lambda: ObjectConfig(position_angle=6.0, stiffness=0.28)
     )
@@ -173,6 +202,12 @@ class SwitchingConfig:
 
 @dataclass
 class EstimationConfig:
+    """The estimation accuracy sweep on a scale of ``scale_stiffness`` (N/deg)
+    at each of ``positions`` (deg), ``n_seeds`` plants each: the duty ramps
+    at ``ramp_rate`` (duty-%/s) until the true force reaches ``target`` (N),
+    settles for ``settle_s`` (s), then averages over ``window_s`` (s), all
+    within ``timeout_s`` (s)."""
+
     positions: list = _bounded(lambda: [15.0, 22.0, 29.0, 36.0, 43.0], _NONEMPTY)
     scale_stiffness: float = _bounded(0.5, _POSITIVE)
     target: float = _bounded(2.0, _POSITIVE)  # N, the ~200 g scale target
@@ -185,6 +220,10 @@ class EstimationConfig:
 
 @dataclass
 class GraspConfig:
+    """The grasp sweep: each of ``objects`` held by three fingers at each of
+    ``setpoints`` (N) for ``n_trials`` trials of ``duration_s`` (s), the grip
+    judged over the last ``settle_window_s`` (s)."""
+
     setpoints: list = _bounded(lambda: [0.5, 1.0, 1.5, 2.0, 3.0, 4.0], _NONEMPTY)
     n_trials: int = _bounded(10, _AT_LEAST_ONE)
     duration_s: float = _bounded(10.0, _ONE_TICK)
@@ -219,6 +258,12 @@ class GraspConfig:
 
 @dataclass
 class HardnessConfig:
+    """The hardness probe: an open-loop duty ramp of ``ramp_rate`` (duty-%/s)
+    up to ``max_duty`` (duty-%) for ``duration_s`` (s) into an object at
+    ``position_angle`` (deg) of ``stiff_stiffness`` or ``soft_stiffness``
+    (N/deg); the angle-against-force slope of the estimates above
+    ``min_contact_force`` (N) is stiff below ``slope_threshold`` (deg/N)."""
+
     position_angle: float = 48.0  # contact at 40% duty with the default geometry
     stiff_stiffness: float = _bounded(0.5, _POSITIVE)
     soft_stiffness: float = _bounded(0.03, _POSITIVE)
@@ -231,6 +276,10 @@ class HardnessConfig:
 
 @dataclass
 class Config:
+    """The whole run: the master ``seed`` every run derives its seeds from,
+    the plant, controller, supervisor and calibration, and one section per
+    experiment."""
+
     seed: int = 12345
     plant: PlantConfig = field(default_factory=PlantConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
@@ -322,18 +371,15 @@ def load_config(path: str | Path) -> Config:
 
 
 def config_to_dict(cfg: Config) -> dict:
-    def conv(value):
-        if dataclasses.is_dataclass(value):
-            return {f.name: conv(getattr(value, f.name)) for f in dataclasses.fields(value)}
-        if isinstance(value, dict):
-            return {k: conv(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [conv(v) for v in value]
-        if isinstance(value, float) and math.isinf(value):
-            return "inf"
-        return value
+    """The config as JSON values, by ``dataclasses.asdict``: each section a
+    dict, and an infinite float (a failure threshold admits one) the string
+    ``"inf"``, which ``config_from_dict`` reads back.  List items are finite
+    numbers, as ``config_from_dict`` admits no other."""
+    return dataclasses.asdict(cfg, dict_factory=_json_fields)
 
-    return conv(cfg)
+
+def _json_fields(fields: list) -> dict:
+    return {k: "inf" if isinstance(v, float) and math.isinf(v) else v for k, v in fields}
 
 
 def _field_errors(node, path: str, period: float | None) -> list[str]:

@@ -76,6 +76,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
+from operator import truediv
 from array import array
 from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
@@ -167,6 +168,9 @@ class StepMetrics:
 
 @dataclass(frozen=True)
 class GraspOutcome:
+    """One grasp trial's outcome: the shake test dropped the object, or a
+    finger's peak force passed its deform or break threshold."""
+
     dropped: bool
     deformed: bool
     broken: bool
@@ -180,17 +184,18 @@ def _overshoot(values: list, target: float, from_below: bool) -> float:
 
 
 def _rms(deviations: list) -> float:
-    """Root mean square of ``deviations``.  Where the squares of finite
-    deviations overflow a float, the same quantity scaled by the largest
-    magnitude; every other input takes the plain sum."""
+    """Root mean square of ``deviations``, summed by ``calib._sum_of_squares``.
+    Where the squares of finite deviations overflow a float, the same
+    quantity scaled by the largest magnitude; every other input takes the
+    plain sum."""
     n = len(deviations)
     try:
-        mean_square = sum(d ** 2 for d in deviations) / n
+        mean_square = calib._sum_of_squares(deviations) / n
     except OverflowError:
         mean_square = math.inf
     if mean_square == math.inf and all(map(math.isfinite, deviations)):
         m = max(map(abs, deviations))
-        return m * math.sqrt(sum((d / m) ** 2 for d in deviations) / n)
+        return m * math.sqrt(calib._sum_of_squares(list(map(truediv, deviations, repeat(m)))) / n)
     return math.sqrt(mean_square)
 
 
@@ -198,7 +203,9 @@ def compute_step_metrics(trace: Trace, target: float, t_start: float, t_end: flo
     """Derive StepMetrics from a trace segment; recomputable from the CSV.
 
     The segment is the rows with ``t_start <= t < t_end``.  Every trace keeps
-    ``t`` in tick order, so they are one slice, found by bisection.
+    ``t`` in tick order, so they are one slice, found by bisection.  Settling
+    starts one row past the last true force out of the band (``lo <= force <=
+    hi`` fails, as it does for NaN), found by one numpy search.
     """
     rows = _segment(trace.t, t_start, t_end)
     true, est = trace.f_c_true[rows], trace.f_c_est[rows]
@@ -206,14 +213,10 @@ def compute_step_metrics(trace: Trace, target: float, t_start: float, t_end: flo
         raise ValueError("empty segment")
     lo, hi = target * (1.0 - SETTLING_BAND), target * (1.0 + SETTLING_BAND)
     from_below = true[0] <= target
-    settle_at = None  # the first row of the in-band stretch that reaches the segment end
-    for k, force in enumerate(true):
-        if lo <= force <= hi:
-            if settle_at is None:
-                settle_at = k
-        else:
-            settle_at = None
-    if settle_at is None:
+    force = np.asarray(true, dtype=np.float64)
+    out = np.flatnonzero(~((lo <= force) & (force <= hi)))
+    settle_at = int(out[-1]) + 1 if out.size else 0
+    if settle_at == len(true):
         rms = _rms([e - target for e in est])
         return StepMetrics(target, False, None, _overshoot(true, target, from_below), rms)
     settling_time = trace.t[rows.start + settle_at] - t_start
@@ -606,6 +609,9 @@ def _closed_loop(
 
 @dataclass
 class CalibrationResult:
+    """Every finger's calibration: its model selection, its samples and, when
+    recorded, its ramp's trace."""
+
     reports: list  # CalibrationReport per finger
     sample_sets: list  # list[Sample] per finger
     traces: list  # Trace per finger, or None per finger when not recorded
@@ -698,6 +704,10 @@ def _master_and_models(cfg: Config, seed: int | None, models) -> tuple:
 
 @dataclass(frozen=True)
 class EstimationRow:
+    """One estimation cell, (seed, position): the window's mean estimate and
+    true force (N) and their absolute difference, or None for each with
+    ``flagged`` saying why the press ended before its window filled."""
+
     seed: int
     position_angle: float
     target: float
@@ -791,6 +801,8 @@ def _estimation_row(cfg: Config, model: PolynomialModel, seed: int, position: fl
 
 @dataclass
 class StepResult:
+    """One step-response run: its trace and the metrics of its two segments."""
+
     trace: Trace
     metrics: list  # StepMetrics per segment
 
@@ -829,6 +841,10 @@ def run_step_response(cfg: Config, seed: int | None = None, models=None) -> list
 
 @dataclass
 class SwitchingResult:
+    """One switching run: its trace, the metrics from the switch, the switch's
+    time (s; None when it never switched) and the (min, max) duty (duty-%)
+    once settled, None when it never settled."""
+
     trace: Trace
     metrics: StepMetrics
     switch_time: float | None
@@ -863,6 +879,9 @@ def run_switching_experiment(cfg: Config, seed: int | None = None, models=None) 
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (object, set-point) cell of the grasp sweep: the percentages of its
+    ``n_trials`` trials that dropped, deformed and broke the object."""
+
     object: str
     target_force: float
     dropped_pct: float
@@ -873,6 +892,9 @@ class SweepRow:
 
 @dataclass
 class SweepTable:
+    """The grasp sweep's rows: the objects in name order, each object's rows
+    in ``grasp.setpoints`` order."""
+
     rows: list  # SweepRow
 
     def for_object(self, name: str) -> list:
@@ -992,6 +1014,9 @@ def run_grasp_sweep(cfg: Config, seed: int | None = None, jobs: int = 1, models=
 
 @dataclass
 class HardnessResult:
+    """One hardness probe: its classification and angle-against-force slope
+    (deg/N), both None when it classifies nothing, and its trace."""
+
     classification: str | None  # "stiff" | "soft" | None (no contact)
     slope_deg_per_n: float | None
     trace: Trace

@@ -13,13 +13,16 @@ and counting sensor reads with ``counted_senses``.
 ``residual_sum_of_squares`` is the per-sample formula that
 ``calibration._rss`` reproduces over arrays and that ``select_model``'s
 records are checked against, and ``positional_pi`` the closed form that the
-controller's increments add up to.
+controller's increments add up to.  ``rms`` and ``config_to_dict`` are
+``harness._rms`` and ``config.config_to_dict`` as hand-written loops, which
+the package's forms must match.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import random
 from array import array
 from typing import Callable, NamedTuple
@@ -130,6 +133,39 @@ def positional_pi(kp: float, ki: float, period: float, errors: list[float]) -> f
 def residual_sum_of_squares(model: PolynomialModel, samples: list[Sample]) -> float:
     """One ``predict`` per sample, squared by ``**`` and summed in sample order."""
     return float(sum((model.predict(s.angle) - s.force) ** 2 for s in samples))
+
+
+def rms(deviations: list) -> float:
+    """Root mean square as a generator of ``d ** 2`` summed by ``sum``, and
+    of ``(d / m) ** 2``, scaled by the largest magnitude ``m``, where the
+    squares of finite deviations overflow."""
+    n = len(deviations)
+    try:
+        mean_square = sum(d ** 2 for d in deviations) / n
+    except OverflowError:
+        mean_square = math.inf
+    if mean_square == math.inf and all(map(math.isfinite, deviations)):
+        m = max(map(abs, deviations))
+        return m * math.sqrt(sum((d / m) ** 2 for d in deviations) / n)
+    return math.sqrt(mean_square)
+
+
+def config_to_dict(cfg: Config) -> dict:
+    """A walk of the config's dataclass tree: dicts for dataclasses and
+    dicts, lists for lists and tuples, ``"inf"`` for an infinite float."""
+
+    def conv(value):
+        if dataclasses.is_dataclass(value):
+            return {f.name: conv(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        if isinstance(value, dict):
+            return {k: conv(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [conv(v) for v in value]
+        if isinstance(value, float) and math.isinf(value):
+            return "inf"
+        return value
+
+    return conv(cfg)
 
 
 def hexed(value):

@@ -32,6 +32,8 @@ from softgrip.config import config_from_dict, config_to_dict, default_config, va
 from softgrip.control import DEFAULT_OUTPUT_MIN, PiController
 from softgrip.errors import ConfigError
 
+import reference
+
 FAILURE_THRESHOLDS = ("deform_threshold", "break_threshold")
 FAILURE_DRAWS = FAILURE_THRESHOLDS + ("deform_spread", "break_spread", "hold_requirement", "hold_spread")
 # only grasp objects draw failures; these keys were once leaves too
@@ -162,6 +164,22 @@ def test_non_integral_count_names_the_field(value):
 def test_controller_and_config_share_the_lower_duty_default():
     assert default_config().controller.output_min == PiController().output_min == DEFAULT_OUTPUT_MIN == 0.0
     assert config_to_dict(default_config())["controller"]["output_min"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {},
+        {"grasp": {"objects": {"plastic_cup": {"deform_threshold": "inf", "break_threshold": "inf"}}}},
+        {"grasp": {"objects": {"mug": {"position_angle": 12.0, "stiffness": 0.9, "hold_spread": 0.1}}}},
+        {"seed": 2**200},
+    ],
+    ids=["default", "inf-thresholds", "added-object", "seed-2**200"],
+)
+def test_config_to_dict_equals_the_tree_walk_and_loads_back(spec):
+    cfg = config_from_dict(spec)
+    assert repr(config_to_dict(cfg)) == repr(reference.config_to_dict(cfg))
+    assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 # every command's smallest useful run: each still calibrates, presses, grasps

@@ -37,13 +37,15 @@ import csv
 import json
 import math
 from array import array
+from itertools import accumulate
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softgrip import harness
+from softgrip.calibration import PolynomialModel
 from softgrip.cli import main
 from softgrip.config import config_from_dict, config_to_dict, default_config, validate
 from softgrip.harness import (
@@ -60,6 +62,7 @@ from softgrip.harness import (
 )
 from softgrip.plant import MAX_NOISE_BLOCK, FingerPlant, GaussStream
 
+import reference
 from reference import Lane, hexed, simulate
 
 
@@ -523,12 +526,44 @@ def scan_step_metrics(trace, target, t_start, t_end, band=0.05):
     return harness.StepMetrics(target, True, trace.t[settle_at] - t_start, overshoot, rms)
 
 
+STEP_TARGETS = (0.5, 2.0, 2.5, 3.0)
+
+
+def band_edge_forces(target: float) -> list:
+    """True-force columns of 48 rows about ``target``'s settling band: every
+    row in it, none, only the last row out, NaN and signed zeros, and rows
+    exactly at its edges and one ulp past them."""
+    lo, hi = target * (1.0 - harness.SETTLING_BAND), target * (1.0 + harness.SETTLING_BAND)
+    below, above, nan = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), math.nan
+    return [
+        [target] * 48,
+        [0.0, -0.0] * 24,
+        [target] * 47 + [above],
+        [target] * 47 + [nan],
+        [-0.0, 0.0, lo, hi] * 12,
+        [hi, lo] * 24,
+        [below, lo, above, hi] * 12,
+        [hi, lo, target, below] * 12,
+        [0.0] * 10 + [nan] + [lo] * 20 + [hi] * 17,
+        [-0.0, 0.0] * 5 + [1.2 * target] * 10 + [-0.0] + [target] * 27,
+    ]
+
+
+def forces_trace(forces: list) -> Trace:
+    """A 60 Hz trace of the true forces ``forces``, each row's estimate off it by a little."""
+    trace = Trace()
+    for i, f in enumerate(forces):
+        trace.append(i / 60.0, 0.0, 0.0, 0.0, 0.0, 0.0, f + 0.01 * (i % 5 - 2), f, "force_control")
+    return trace
+
+
 def test_step_segment_slice_equals_row_scan(cfg, models):
     small = copy.deepcopy(cfg)
     small.step.segment_s, small.step.n_seeds = 1.0, 1
     small.switching.duration_s, small.switching.n_seeds = 2.0, 2
     results = run_step_response(small, 3, models) + run_switching_experiment(small, 3, models)
     traces = [r.trace for r in results]
+    traces += [forces_trace(forces) for target in STEP_TARGETS for forces in band_edge_forces(target)]
     for trace in traces:
         t = trace.t
         # bounds at exactly a row's time, between rows, outside the trace, and reversed
@@ -536,7 +571,7 @@ def test_step_segment_slice_equals_row_scan(cfg, models):
         bounds += [(t[7] + 1e-9, t[30] - 1e-9), (-1.0, 99.0), (t[12], t[13])]
         for t_start, t_end in bounds:
             assert t[harness._segment(t, t_start, t_end)] == array("d", [x for x in t if t_start <= x < t_end])
-            for target in (0.5, 2.0, 2.5, 3.0):
+            for target in STEP_TARGETS:
                 try:
                     expected = scan_step_metrics(trace, target, t_start, t_end)
                 except ValueError as exc:
@@ -545,6 +580,64 @@ def test_step_segment_slice_equals_row_scan(cfg, models):
                     continue
                 got = compute_step_metrics(trace, target, t_start, t_end)
                 assert repr(got) == repr(expected)
+
+
+# deviations whose squares overflow (from ~1.3e154), their sums, and the
+# scaled sum that then replaces them
+RMS_EDGES = [0.0, -0.0, 1.0, 1e8, 1e154, 1e200, -1e200, 1.5e200, 1.7e308, 5e-324, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(RMS_EDGES) | st.floats(), min_size=1, max_size=40))
+@example([1e8, 1.0, 1.0])  # the sum of the squares rounds in row order
+@example([1e200, -3e199, 2.5])
+@example([-1e200, 1e-200, 0.0])
+@example([1e200, math.inf])
+@example([1e200, math.nan])
+@example([1.7e308, 1.7e308, -1.7e308])
+def test_rms_equals_the_generator_sum(deviations):
+    assert harness._rms(deviations).hex() == reference.rms(deviations).hex()
+
+
+def test_probe_hardness_needs_20_points_in_contact(cfg, models):
+    # a shorter probe reads the first ticks of a longer one (its noise too),
+    # so the longer one's estimates count the points of each shorter one
+    full = probe_hardness(cfg, cfg.hardness.stiff_stiffness, 3, models)
+    points = list(accumulate((e > cfg.hardness.min_contact_force for e in full.trace.f_c_est), initial=0))
+    for count, classified in ((19, False), (20, True)):
+        n = points.index(count)
+        short = copy.deepcopy(cfg)
+        short.hardness.duration_s = n * cfg.controller.period
+        res = probe_hardness(short, cfg.hardness.stiff_stiffness, 3, models)
+        estimates = list(res.trace.f_c_est)
+        assert hexed(estimates) == hexed(full.trace.f_c_est[:n])
+        forces = [e for e in estimates if e > cfg.hardness.min_contact_force]
+        # neither of the other guards applies: the detector fires, and the forces differ
+        assert len(forces) == count and min(forces) < max(forces)
+        assert max(estimates) >= cfg.supervisor.contact_threshold
+        assert (res.classification is not None, res.slope_deg_per_n is not None) == (classified, classified)
+
+
+def test_hardness_squared_deviations_underflow_no_classification():
+    # no internal force, noise or filter lag, and a model that predicts none:
+    # each estimate is the true contact force, which at 1e-170 N/deg stays
+    # below 1e-167 N, so the forces differ but their squared deviations
+    # from the mean underflow to 0, and the slope has nothing to divide by
+    cfg = config_from_dict(
+        {
+            "plant": {"internal_weights": [0.0], "noise_sigma": 0.0, "angle_noise_sigma": 0.0, "filter_alpha": 1.0},
+            "supervisor": {"contact_threshold": 1e-300},
+            "hardness": {"soft_stiffness": 1e-170, "min_contact_force": 0.0},
+        }
+    )
+    assert validate(cfg) == []
+    res = probe_hardness(cfg, cfg.hardness.soft_stiffness, 3, [PolynomialModel(0, (0.0,))])
+    forces = [e for e in res.trace.f_c_est if e > 0.0]
+    mean = sum(forces) / len(forces)
+    assert len(forces) >= 20 and min(forces) < max(forces)
+    assert max(forces) >= cfg.supervisor.contact_threshold
+    assert sum((f - mean) ** 2 for f in forces) == 0.0
+    assert (res.classification, res.slope_deg_per_n) == (None, None)
 
 
 # every command at a small size, its runs' noise values a count that no
